@@ -21,8 +21,9 @@ raises instead of reporting.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from .builders import build_higher, build_lucas, fast_f
@@ -70,31 +71,34 @@ class CheckerParams:
 
 @dataclass(frozen=True)
 class CheckCase:
-    """Outcome of one identity instance."""
+    """Outcome of one identity instance.  A failing case carries the
+    documented reason it is expected to fail, or None when it is not."""
 
     checker: str
     params: dict
     status: str
     counterexample: dict | None = None
+    reason: str | None = None
+
+
+class _Verdict:
+    """Pass/fail verdict over the `cases` of a report or a suite result."""
+
+    def unexpected_failures(self) -> list[CheckCase]:
+        return [c for c in self.cases if c.status == FAILS and c.reason is None]
+
+    @property
+    def passed(self) -> bool:
+        return not self.unexpected_failures()
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Verdict):
     """All cases one checker produced for one parameter grid."""
 
     checker: str
     grid: dict
     cases: tuple[CheckCase, ...]
-
-    def failing(self) -> list[CheckCase]:
-        return [c for c in self.cases if c.status == FAILS]
-
-    def unexpected_failures(self) -> list[CheckCase]:
-        return [c for c in self.failing() if expected_reason(c.checker, c.params) is None]
-
-    @property
-    def passed(self) -> bool:
-        return not self.unexpected_failures()
 
 
 def _serialize(value):
@@ -103,20 +107,55 @@ def _serialize(value):
     return str(value)
 
 
-def _counterexample(params: dict, lhs, rhs) -> dict:
-    return {"params": dict(params), "lhs": _serialize(lhs), "rhs": _serialize(rhs)}
-
-
-def _case(checker: str, params: dict, lhs, rhs) -> CheckCase:
+def _case(checker: str, params: dict, lhs, rhs, corrected=None, status_if_equal=HOLDS) -> CheckCase:
+    """Compare the cataloged sides; a failing case whose lhs matches the
+    corrected side holds-corrected, any other is classified here, once."""
     if lhs == rhs:
-        return CheckCase(checker, params, HOLDS)
-    return CheckCase(checker, params, FAILS, _counterexample(params, lhs, rhs))
+        return CheckCase(checker, params, status_if_equal)
+    counterexample = {"params": dict(params), "lhs": _serialize(lhs), "rhs": _serialize(rhs)}
+    if corrected is not None and lhs == corrected:
+        return CheckCase(checker, params, HOLDS_CORRECTED, counterexample)
+    return CheckCase(checker, params, FAILS, counterexample, expected_reason(checker, params))
 
 
-def _divisible(value, d: int) -> bool:
-    if isinstance(value, SquareMatrix):
-        return all(e % d == 0 for row in value.rows for e in row)
-    return value % d == 0
+CHECKERS = {}
+
+
+def _checker(order: int | None = None, min_r: int = 0):
+    """Register the case generator check_<id> as checker <id>.
+
+    The generator yields (index params, lhs, rhs[, corrected[,
+    status-if-equal]]) per case, or (index params,) for a skipped case.
+    The registered checker rejects parameters outside its domain (order
+    `order` only, when given; levels r >= min_r), adds k and r to every
+    case's params and returns the VerificationReport.  `order` and
+    `min_r` stay on the checker, where run_suite reads its grid from.
+    """
+
+    def register(cases_of):
+        checker_id = cases_of.__name__.removeprefix("check_")
+
+        @functools.wraps(cases_of)
+        def check(p: CheckerParams) -> VerificationReport:
+            if order is not None and p.k != order:
+                raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
+            if p.r < min_r:
+                raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
+            cases = []
+            for index, *sides in cases_of(p):
+                params = {"k": p.k, "r": p.r, **index}
+                if sides:
+                    cases.append(_case(checker_id, params, *sides))
+                else:
+                    cases.append(CheckCase(checker_id, params, SKIPPED))
+            return VerificationReport(checker_id, asdict(p), tuple(cases))
+
+        check.order = order
+        check.min_r = min_r
+        CHECKERS[checker_id] = check
+        return check
+
+    return register
 
 
 def _ones(dim: int) -> SquareMatrix:
@@ -130,55 +169,36 @@ def _level(p: CheckerParams):
     return (lambda i: build_higher(p.k, p.r, i)), zeros(p.k**p.r)
 
 
-def _grid_dict(p: CheckerParams) -> dict:
-    return {
-        "k": p.k,
-        "r": p.r,
-        "n_max": p.n_max,
-        "m_max": p.m_max,
-        "j_min": p.j_min,
-        "j_max": p.j_max,
-    }
-
-
 # ---------------------------------------------------------------------------
 # general checkers (any order k)
 
 
-def check_sum_formula(p: CheckerParams) -> VerificationReport:
-    """(k-1) * sum of the first n terms against its closed difference form,
-    with an entrywise divisibility assertion on the closed form."""
+@_checker()
+def check_sum_formula(p: CheckerParams):
+    """(k-1) * sum of the first n terms against its closed difference form.
+    Equality makes the closed form entrywise divisible by k-1."""
     X, zero = _level(p)
     k = p.k
-    cases = []
     running = zero
     for n in range(1, p.n_max + 1):
         running = running + X(n - 1)
-        lhs = (k - 1) * running
         rhs = X(n + k - 1) - X(k - 1)
         for i in range(1, k - 1):
             rhs = rhs - i * X(n + k - 2 - i)
-        params = {"k": k, "r": p.r, "n": n}
-        if lhs == rhs and _divisible(rhs, k - 1):
-            cases.append(CheckCase("sum_formula", params, HOLDS))
-        else:
-            cases.append(CheckCase("sum_formula", params, FAILS, _counterexample(params, lhs, rhs)))
-    return VerificationReport("sum_formula", _grid_dict(p), tuple(cases))
+        yield {"n": n}, (k - 1) * running, rhs
 
 
-def check_double_shift(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_double_shift(p: CheckerParams):
     """X(j+k-1) == 2*X(j+k-2) - X(j-2) at every integer j in the grid."""
     X, _ = _level(p)
     k = p.k
-    cases = []
     for j in range(p.j_min, p.j_max + 1):
-        lhs = X(j + k - 1)
-        rhs = 2 * X(j + k - 2) - X(j - 2)
-        cases.append(_case("double_shift", {"k": k, "r": p.r, "j": j}, lhs, rhs))
-    return VerificationReport("double_shift", _grid_dict(p), tuple(cases))
+        yield {"j": j}, X(j + k - 1), 2 * X(j + k - 2) - X(j - 2)
 
 
-def check_geometric(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_geometric(p: CheckerParams):
     """Scaled geometric sum: sum of 2^(n-j) * X(j-1) for j = 1..n against
     2^n * C - X(k+n).
 
@@ -190,91 +210,78 @@ def check_geometric(p: CheckerParams) -> VerificationReport:
     """
     X, zero = _level(p)
     k = p.k
-    cases = []
     running = zero
     for n in range(1, p.n_max + 1):
         running = 2 * running + X(n - 1)
         if p.r == 0:
-            rhs = 2**n - X(k + n)
-            cases.append(_case("geometric", {"k": k, "r": 0, "n": n}, running, rhs))
+            yield {"n": n}, running, 2**n - X(k + n)
             continue
         dim = p.k**p.r
         readings = (
-            ("literal-identity", identity(dim)),
-            ("literal-ones", _ones(dim)),
-            ("corrected", X(k)),
+            ("literal-identity", identity(dim), HOLDS),
+            ("literal-ones", _ones(dim), HOLDS),
+            ("corrected", X(k), HOLDS_CORRECTED),
         )
-        for reading, constant in readings:
+        for reading, constant, status in readings:
             rhs = (2**n) * constant - X(k + n)
-            params = {"k": k, "r": p.r, "n": n, "reading": reading}
-            if running == rhs:
-                status = HOLDS_CORRECTED if reading == "corrected" else HOLDS
-                cases.append(CheckCase("geometric", params, status))
-            else:
-                cases.append(
-                    CheckCase("geometric", params, FAILS, _counterexample(params, running, rhs))
-                )
-    return VerificationReport("geometric", _grid_dict(p), tuple(cases))
+            yield {"n": n, "reading": reading}, running, rhs, None, status
 
 
-def check_strided_sum(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_strided_sum(p: CheckerParams):
     """Stride-k sum: sum of X(k*n + j + 1) for n = 0..m against the block
     of consecutive terms X(j-n) for n = -mk..k-1."""
     X, _ = _level(p)
     k = p.k
-    cases = []
     for j in range(0, p.j_max + 1):
         lhs = X(j + 1)
         rhs = X(j - (k - 1))
         for n in range(k - 2, -1, -1):
             rhs = rhs + X(j - n)
-        cases.append(_case("strided_sum", {"k": k, "r": p.r, "j": j, "m": 0}, lhs, rhs))
+        yield {"j": j, "m": 0}, lhs, rhs
         for m in range(1, p.m_max + 1):
             lhs = lhs + X(k * m + j + 1)
             for t in range((m - 1) * k + 1, m * k + 1):
                 rhs = rhs + X(j + t)
-            cases.append(_case("strided_sum", {"k": k, "r": p.r, "j": j, "m": m}, lhs, rhs))
-    return VerificationReport("strided_sum", _grid_dict(p), tuple(cases))
+            yield {"j": j, "m": m}, lhs, rhs
 
 
-def check_k_stride(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_k_stride(p: CheckerParams):
     """Sum of X(k*n) for n = 1..m against the tail sum of X(k-1-n) over
     n = k*(1-m)..k-1."""
     X, zero = _level(p)
     k = p.k
-    cases = []
     lhs = zero
     rhs = zero
     for m in range(1, p.m_max + 1):
         lhs = lhs + X(k * m)
         for t in range((m - 1) * k, m * k):
             rhs = rhs + X(t)
-        cases.append(_case("k_stride", {"k": k, "r": p.r, "m": m}, lhs, rhs))
-    return VerificationReport("k_stride", _grid_dict(p), tuple(cases))
+        yield {"m": m}, lhs, rhs
 
 
-def check_congruence_sum(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_congruence_sum(p: CheckerParams):
     """X(k*m) - X(0) against the tail sum restricted to offsets n with
     n not congruent to 0 modulo k-1."""
     X, zero = _level(p)
     k = p.k
-    cases = []
     for m in range(1, p.m_max + 1):
         lhs = X(k * m) - X(0)
         rhs = zero
         for n in range(k * (1 - m), k):
             if n % (k - 1) != 0:
                 rhs = rhs + X(k - 1 - n)
-        cases.append(_case("congruence_sum", {"k": k, "r": p.r, "m": m}, lhs, rhs))
-    return VerificationReport("congruence_sum", _grid_dict(p), tuple(cases))
+        yield {"m": m}, lhs, rhs
 
 
-def check_square_convolution(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_square_convolution(p: CheckerParams):
     """Sum of X(j)^2 for j = 0..n against X(n+1)*X(n) minus the lagged
     convolution sums, products taken in the stated order."""
     X, zero = _level(p)
     k = p.k
-    cases = []
     sq_sum = zero
     tails = {j: zero for j in range(2, k)}
     for n in range(0, p.n_max + 1):
@@ -285,44 +292,35 @@ def check_square_convolution(p: CheckerParams) -> VerificationReport:
         rhs = X(n + 1) * xn
         for j in tails:
             rhs = rhs - tails[j]
-        cases.append(_case("square_convolution", {"k": k, "r": p.r, "n": n}, sq_sum, rhs))
-    return VerificationReport("square_convolution", _grid_dict(p), tuple(cases))
+        yield {"n": n}, sq_sum, rhs
 
 
-def check_power_expansion(p: CheckerParams) -> VerificationReport:
+@_checker()
+def check_power_expansion(p: CheckerParams):
     """X(j+n) expanded as 2^n times a short back sum plus weighted terms,
     valid for 1 <= n <= k-1; out-of-range n is reported as skipped."""
     X, zero = _level(p)
     k = p.k
-    cases = []
     for n in range(1, min(p.n_max, k) + 1):
         if n > k - 1:
-            params = {"k": k, "r": p.r, "n": n, "note": "requires 1 <= n <= k-1"}
-            cases.append(CheckCase("power_expansion", params, SKIPPED))
+            yield ({"n": n, "note": "requires 1 <= n <= k-1"},)
             continue
         for j in range(p.j_min, p.j_max + 1):
-            lhs = X(j + n)
             back = zero
             for i in range(1, k - n + 1):
                 back = back + X(j - i)
             rhs = (2**n) * back
             for i in range(0, n):
                 rhs = rhs + (2**n - 2**i) * X(j - k + n - 1 - i)
-            cases.append(_case("power_expansion", {"k": k, "r": p.r, "n": n, "j": j}, lhs, rhs))
-    return VerificationReport("power_expansion", _grid_dict(p), tuple(cases))
+            yield {"n": n, "j": j}, X(j + n), rhs
 
 
-def check_q_power(p: CheckerParams) -> VerificationReport:
+@_checker(min_r=1)
+def check_q_power(p: CheckerParams):
     """Direct level-r construction against the companion-power path for
     j = 1..j_max.  Matrix levels only."""
-    if p.r == 0:
-        raise ValueError("q_power has no scalar form; use r >= 1")
-    cases = []
     for j in range(1, p.j_max + 1):
-        lhs = build_higher(p.k, p.r, j)
-        rhs = fast_f(p.k, p.r, j)
-        cases.append(_case("q_power", {"k": p.k, "r": p.r, "j": j}, lhs, rhs))
-    return VerificationReport("q_power", _grid_dict(p), tuple(cases))
+        yield {"j": j}, build_higher(p.k, p.r, j), fast_f(p.k, p.r, j)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +335,8 @@ def _q_power(j: int) -> SquareMatrix:
 
 
 def _fib_evaluators(p: CheckerParams):
-    """(F, L) at the requested level plus the companion-power shadow pair
-    at level 1, or None when no independent oracle applies."""
-    if p.k != 2:
-        raise ValueError(f"this checker is defined for order 2 only, got k={p.k}")
+    """(F, L) at the requested order-2 level plus the companion-power
+    shadow pair at level 1, or None when no independent oracle applies."""
     if p.r == 0:
         return (lambda i: term(2, i)), lucas_term, None, None
     F = lambda i: build_higher(2, p.r, i)
@@ -367,23 +363,22 @@ def _evaluate_pair(p: CheckerParams, sides):
     return main
 
 
-def check_lucas_pair(p: CheckerParams) -> VerificationReport:
+@_checker(order=2)
+def check_lucas_pair(p: CheckerParams):
     """Two linear pair identities: L(s) + L(s+2) against 5*F(s+1), and
     F(s) + F(s+2) against L(s+1)."""
-    cases = []
     for s in range(p.j_min, p.j_max + 1):
-        lhs, rhs = _evaluate_pair(p, lambda F, L: (L(s) + L(s + 2), 5 * F(s + 1)))
-        cases.append(_case("lucas_pair", {"k": 2, "r": p.r, "s": s, "part": "lucas-sum"}, lhs, rhs))
-        lhs, rhs = _evaluate_pair(p, lambda F, L: (F(s) + F(s + 2), L(s + 1)))
-        cases.append(_case("lucas_pair", {"k": 2, "r": p.r, "s": s, "part": "fib-sum"}, lhs, rhs))
-    return VerificationReport("lucas_pair", _grid_dict(p), tuple(cases))
+        lucas_sum = _evaluate_pair(p, lambda F, L: (L(s) + L(s + 2), 5 * F(s + 1)))
+        yield {"s": s, "part": "lucas-sum"}, *lucas_sum
+        fib_sum = _evaluate_pair(p, lambda F, L: (F(s) + F(s + 2), L(s + 1)))
+        yield {"s": s, "part": "fib-sum"}, *fib_sum
 
 
-def check_addition_formula(p: CheckerParams) -> VerificationReport:
+@_checker(order=2)
+def check_addition_formula(p: CheckerParams):
     """Index addition: F(m-1)*F(n) + F(m)*F(n+1) against the scaled
     target, 5^(r/2)*F(m+n) at even levels and 5^((r-1)/2)*L(m+n) at odd
     levels; the scalar form targets F(m+n) itself."""
-    cases = []
     for m in range(p.j_min, p.j_max + 1):
         for n in range(p.j_min, p.j_max + 1):
 
@@ -395,25 +390,21 @@ def check_addition_formula(p: CheckerParams) -> VerificationReport:
                     return (5**p.even_power) * F(m + n), products
                 return (5**p.odd_power) * L(m + n), products
 
-            lhs, rhs = _evaluate_pair(p, sides)
-            cases.append(_case("addition_formula", {"k": 2, "r": p.r, "m": m, "n": n}, lhs, rhs))
-    return VerificationReport("addition_formula", _grid_dict(p), tuple(cases))
+            yield {"m": m, "n": n}, *_evaluate_pair(p, sides)
 
 
-def check_fl_double(p: CheckerParams) -> VerificationReport:
+@_checker(order=2)
+def check_fl_double(p: CheckerParams):
     """F(n) + L(n) against 2*F(n+1)."""
-    cases = []
     for n in range(p.j_min, p.j_max + 1):
-        lhs, rhs = _evaluate_pair(p, lambda F, L: (F(n) + L(n), 2 * F(n + 1)))
-        cases.append(_case("fl_double", {"k": 2, "r": p.r, "n": n}, lhs, rhs))
-    return VerificationReport("fl_double", _grid_dict(p), tuple(cases))
+        yield {"n": n}, *_evaluate_pair(p, lambda F, L: (F(n) + L(n), 2 * F(n + 1)))
 
 
-def check_square_sum(p: CheckerParams) -> VerificationReport:
+@_checker(order=2)
+def check_square_sum(p: CheckerParams):
     """F(n+1)^2 + F(n)^2 against the scaled odd-index target:
     F(2n+1) at the scalar level, 5^(r/2)*F(2n+1) at even levels,
     5^((r-1)/2)*L(2n+1) at odd levels."""
-    cases = []
     for n in range(p.j_min, p.j_max + 1):
 
         def sides(F, L, n=n):
@@ -424,12 +415,11 @@ def check_square_sum(p: CheckerParams) -> VerificationReport:
                 return squares, (5**p.even_power) * F(2 * n + 1)
             return squares, (5**p.odd_power) * L(2 * n + 1)
 
-        lhs, rhs = _evaluate_pair(p, sides)
-        cases.append(_case("square_sum", {"k": 2, "r": p.r, "n": n}, lhs, rhs))
-    return VerificationReport("square_sum", _grid_dict(p), tuple(cases))
+        yield {"n": n}, *_evaluate_pair(p, sides)
 
 
-def check_square_diff(p: CheckerParams) -> VerificationReport:
+@_checker(order=2)
+def check_square_diff(p: CheckerParams):
     """F(n+1)^2 - F(n)^2 against its cataloged target.
 
     Scalar: F(n+2)*F(n-1).  Odd levels: 5^((r-1)/2)*F(2n+1).  Even
@@ -438,7 +428,6 @@ def check_square_diff(p: CheckerParams) -> VerificationReport:
     5^((r-2)/2)*L(2n+1) verifies, the case reports holds-corrected with
     the cataloged sides as the counterexample payload.
     """
-    cases = []
     for n in range(p.j_min, p.j_max + 1):
 
         def sides(F, L, n=n):
@@ -451,26 +440,16 @@ def check_square_diff(p: CheckerParams) -> VerificationReport:
             corrected = (5 ** ((p.r - 2) // 2)) * L(2 * n + 1)
             return diff, stated, corrected
 
-        lhs, rhs, corrected = _evaluate_pair(p, sides)
-        params = {"k": 2, "r": p.r, "n": n}
-        if lhs == rhs:
-            cases.append(CheckCase("square_diff", params, HOLDS))
-        elif corrected is not None and lhs == corrected:
-            cases.append(
-                CheckCase("square_diff", params, HOLDS_CORRECTED, _counterexample(params, lhs, rhs))
-            )
-        else:
-            cases.append(CheckCase("square_diff", params, FAILS, _counterexample(params, lhs, rhs)))
-    return VerificationReport("square_diff", _grid_dict(p), tuple(cases))
+        yield {"n": n}, *_evaluate_pair(p, sides)
 
 
-def check_square_series(p: CheckerParams) -> VerificationReport:
+@_checker(order=2)
+def check_square_series(p: CheckerParams):
     """Sum of F(i)^2 for i = 1..n against the closed form: F(n)*F(n+1) at
     the scalar level, 5^((r-1)/2)*(F(2n+1) - F(1)) at odd levels, and
     5^((r-2)/2)*(L(2n+1) - L(1)) at even levels."""
     F0, L0, _, _ = _fib_evaluators(p)
     zero = 0 if p.r == 0 else zeros(2**p.r)
-    cases = []
     running = zero
     for n in range(1, p.n_max + 1):
 
@@ -488,51 +467,14 @@ def check_square_series(p: CheckerParams) -> VerificationReport:
         lhs, rhs = _evaluate_pair(p, sides)
         if lhs != running:
             raise RuntimeError("incremental square series disagrees with direct sum")
-        cases.append(_case("square_series", {"k": 2, "r": p.r, "n": n}, lhs, rhs))
-    return VerificationReport("square_series", _grid_dict(p), tuple(cases))
+        yield {"n": n}, lhs, rhs
+
+
+CHECKER_IDS = tuple(CHECKERS)
 
 
 # ---------------------------------------------------------------------------
 # suite driver
-
-_GENERAL_CHECKERS = (
-    "sum_formula",
-    "double_shift",
-    "geometric",
-    "strided_sum",
-    "k_stride",
-    "congruence_sum",
-    "square_convolution",
-    "power_expansion",
-)
-_MATRIX_ONLY_CHECKERS = ("q_power",)
-_FIBONACCI_CHECKERS = (
-    "lucas_pair",
-    "addition_formula",
-    "fl_double",
-    "square_sum",
-    "square_diff",
-    "square_series",
-)
-CHECKER_IDS = _GENERAL_CHECKERS + _MATRIX_ONLY_CHECKERS + _FIBONACCI_CHECKERS
-
-CHECKERS = {
-    "sum_formula": check_sum_formula,
-    "double_shift": check_double_shift,
-    "geometric": check_geometric,
-    "strided_sum": check_strided_sum,
-    "k_stride": check_k_stride,
-    "congruence_sum": check_congruence_sum,
-    "square_convolution": check_square_convolution,
-    "power_expansion": check_power_expansion,
-    "q_power": check_q_power,
-    "lucas_pair": check_lucas_pair,
-    "addition_formula": check_addition_formula,
-    "fl_double": check_fl_double,
-    "square_sum": check_square_sum,
-    "square_diff": check_square_diff,
-    "square_series": check_square_series,
-}
 
 
 @dataclass(frozen=True)
@@ -560,6 +502,10 @@ class SuiteGrid:
             raise ValueError("max_r must be >= 1")
         if self.n_max < 1 or self.m_max < 1 or self.j_min > self.j_max:
             raise ValueError("empty parameter grid")
+        extra = self.extra_fib_level
+        not_level = not isinstance(extra, int) or isinstance(extra, bool) or extra < 1
+        if extra is not None and not_level:
+            raise ValueError(f"extra_fib_level must be None or an integer >= 1, got {extra!r}")
 
     def k_values(self) -> tuple[int, ...]:
         return tuple(range(2, self.max_k + 1))
@@ -571,38 +517,15 @@ class SuiteGrid:
             levels.append(extra)
         return tuple(levels)
 
-    def to_dict(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "max_r": self.max_r,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "j_min": self.j_min,
-            "j_max": self.j_max,
-            "dim_cap": self.dim_cap,
-            "extra_fib_level": self.extra_fib_level,
-        }
-
 
 @dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Verdict):
     """Aggregated result of a run_suite call."""
 
     suite: str
     grid: dict
     cases: tuple[CheckCase, ...]
     generated_at: str = field(default="", compare=False)
-
-    @property
-    def passed(self) -> bool:
-        return not self.unexpected_failures()
-
-    def unexpected_failures(self) -> list[CheckCase]:
-        return [
-            c
-            for c in self.cases
-            if c.status == FAILS and expected_reason(c.checker, c.params) is None
-        ]
 
     def status_counts(self) -> dict[str, int]:
         counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}
@@ -658,17 +581,10 @@ def _case_sort_key(c: CheckCase):
     return (c.checker, tuple(parts))
 
 
-def _combos(checker_id: str, grid: SuiteGrid):
-    if checker_id in _FIBONACCI_CHECKERS:
-        ks = (2,)
-    else:
-        ks = grid.k_values()
-    combos = []
-    for k in ks:
-        if checker_id not in _MATRIX_ONLY_CHECKERS:
-            combos.append((k, 0))
-        combos.extend((k, r) for r in grid.matrix_levels(k))
-    return combos
+def _combos(checker, grid: SuiteGrid):
+    """(k, r) pairs of the grid inside the checker's registered domain."""
+    ks = grid.k_values() if checker.order is None else (checker.order,)
+    return [(k, r) for k in ks for r in (0, *grid.matrix_levels(k)) if r >= checker.min_r]
 
 
 def resolve_selection(selection) -> tuple[str, ...]:
@@ -695,8 +611,8 @@ def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
     ids = resolve_selection(selection)
     cases: list[CheckCase] = []
     for checker_id in ids:
-        fn = CHECKERS[checker_id]
-        for k, r in _combos(checker_id, grid):
+        checker = CHECKERS[checker_id]
+        for k, r in _combos(checker, grid):
             p = CheckerParams(
                 k=k,
                 r=r,
@@ -705,14 +621,14 @@ def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
                 j_min=grid.j_min,
                 j_max=grid.j_max,
             )
-            cases.extend(fn(p).cases)
+            cases.extend(checker(p).cases)
     cases.sort(key=_case_sort_key)
     suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids)
     if not ids:
         suite = "none"
     return SuiteResult(
         suite=suite,
-        grid=grid.to_dict(),
+        grid=asdict(grid),
         cases=tuple(cases),
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

@@ -17,18 +17,24 @@ def _validate_order(k) -> None:
         raise ValueError(f"order must be an integer >= 2, got {k!r}")
 
 
-class _Window:
-    """Contiguous two-sided cache for an order-k sum recurrence.
+class KbonacciSequence:
+    """Order-k sequence seeded 0, ..., 0, 1 on indices 0..k-1.
 
-    Stores term(j) for every j in a window that grows on demand.  All
-    access goes through a lock so concurrent readers stay consistent.
+    Stores term(j) for every j in a contiguous window that grows on
+    demand in both directions.  All access goes through a lock so
+    concurrent readers stay consistent.
     """
 
-    def __init__(self, order: int, seeds) -> None:
-        self._k = order
-        self._pos = list(seeds)  # _pos[j] = term(j) for j >= 0
+    def __init__(self, k: int) -> None:
+        _validate_order(k)
+        self._k = k
+        self._pos = [0] * (k - 1) + [1]  # _pos[j] = term(j) for j >= 0
         self._neg: list[int] = []  # _neg[i] = term(-1 - i)
         self._lock = threading.Lock()
+
+    @property
+    def order(self) -> int:
+        return self._k
 
     def _cached(self, j: int) -> int:
         return self._pos[j] if j >= 0 else self._neg[-1 - j]
@@ -49,45 +55,19 @@ class _Window:
             return self._cached(j)
 
     def term_range(self, j_lo: int, j_hi: int) -> list[int]:
+        if j_lo > j_hi:
+            raise ValueError(f"empty range: {j_lo} > {j_hi}")
         self.term(j_lo)
         self.term(j_hi)
         return [self._cached(j) for j in range(j_lo, j_hi + 1)]
 
 
-class KbonacciSequence:
-    """Order-k sequence seeded 0, ..., 0, 1 on indices 0..k-1."""
-
-    def __init__(self, k: int) -> None:
-        _validate_order(k)
-        self._k = k
-        self._window = _Window(k, [0] * (k - 1) + [1])
-
-    @property
-    def order(self) -> int:
-        return self._k
-
-    def term(self, j: int) -> int:
-        return self._window.term(j)
-
-    def term_range(self, j_lo: int, j_hi: int) -> list[int]:
-        if j_lo > j_hi:
-            raise ValueError(f"empty range: {j_lo} > {j_hi}")
-        return self._window.term_range(j_lo, j_hi)
-
-
-class LucasSequence:
+class LucasSequence(KbonacciSequence):
     """Order-2 sequence seeded 2, 1 on indices 0..1, extended both ways."""
 
     def __init__(self) -> None:
-        self._window = _Window(2, [2, 1])
-
-    def term(self, j: int) -> int:
-        return self._window.term(j)
-
-    def term_range(self, j_lo: int, j_hi: int) -> list[int]:
-        if j_lo > j_hi:
-            raise ValueError(f"empty range: {j_lo} > {j_hi}")
-        return self._window.term_range(j_lo, j_hi)
+        super().__init__(2)
+        self._pos = [2, 1]
 
 
 _registry: dict[int, KbonacciSequence] = {}

@@ -416,3 +416,83 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
+
+
+# ---------------------------------------------------------------------------
+# integers past the int-to-text digit limit (4,300 digits on Python 3.11+)
+
+BIG_J = 30000  # F(30000) has 6,270 digits
+
+
+def decimal_text(value: int) -> str:
+    """str(value) with the interpreter's int-to-text digit limit lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture(scope="module")
+def big_fibonacci():
+    """F(BIG_J - 1), F(BIG_J), F(BIG_J + 1) as decimal text, from a plain
+    two-term loop independent of the library."""
+    a, b = 0, 1
+    for _ in range(BIG_J - 1):
+        a, b = b, a + b
+    values = (a, b, a + b)
+    assert all(len(decimal_text(v)) > 4300 for v in values)
+    return tuple(decimal_text(v) for v in values)
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@pytest.mark.parametrize("method", ["iter", "qpow"])
+def test_term_beyond_digit_limit(capsys, big_fibonacci, method):
+    want = big_fibonacci[1]
+    argv = ("term", "--k", "2", "--j", str(BIG_J), "--method", method)
+    limit = digit_limit()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == want + "\n"
+    assert digit_limit() == limit  # restored after the call
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == want
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert parse_csv(out)[1] == ["2", str(BIG_J), method, want]
+
+
+def test_seq_beyond_digit_limit(capsys, big_fibonacci):
+    before, at, _ = big_fibonacci
+    argv = ("seq", "--k", "2", "--from", str(BIG_J - 1), "--to", str(BIG_J))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.split() == [str(BIG_J - 1), before, str(BIG_J), at]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["values"] == [before, at]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert parse_csv(out)[1:] == [[str(BIG_J - 1), before], [str(BIG_J), at]]
+
+
+def test_matrix_beyond_digit_limit(capsys, big_fibonacci):
+    before, at, after = big_fibonacci
+    rows = [[after, at], [at, before]]
+    argv = ("matrix", "--family", "F", "--k", "2", "--r", "1", "--j", str(BIG_J))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [line.split() for line in out.splitlines()] == rows
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"dim": 2, "entries": rows}
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert parse_csv(out) == [["col_1", "col_2"], *rows]

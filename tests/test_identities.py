@@ -61,7 +61,7 @@ def test_sum_formula_scalar_holds():
     report = check_sum_formula(CheckerParams(k=2, r=0, n_max=8))
     assert all(c.status == HOLDS for c in report.cases)
     assert report.passed
-    # k=4 exercises the weighted middle terms and the divisibility guard
+    # k=4 exercises the weighted middle terms and the (k-1) scaling
     report = check_sum_formula(CheckerParams(k=4, r=0, n_max=10))
     assert all(c.status == HOLDS for c in report.cases)
 
@@ -288,6 +288,16 @@ def test_suite_grid_validation():
     assert SuiteGrid(extra_fib_level=None).matrix_levels(2) == (1, 2)
 
 
+def test_suite_grid_extra_fib_level_must_be_a_matrix_level():
+    for bad in (0, -1, True, 1.5, "3"):
+        with pytest.raises(ValueError):
+            SuiteGrid(extra_fib_level=bad)
+    assert SuiteGrid(extra_fib_level=1).matrix_levels(2) == (1, 2)
+    cases = run_suite(["fl_double"], SuiteGrid(extra_fib_level=4, j_min=0, j_max=2)).cases
+    assert {c.params["r"] for c in cases} == {0, 1, 2, 4}
+    assert len({json.dumps(c.params, sort_keys=True) for c in cases}) == len(cases)
+
+
 # ---------------------------------------------------------------------------
 # suite driver
 
@@ -303,6 +313,39 @@ def test_resolve_selection():
 def test_checker_registry_complete():
     assert len(CHECKER_IDS) == 15
     assert set(CHECKERS) == set(CHECKER_IDS)
+
+
+def test_registry_domains_drive_suite_combos():
+    grid = SuiteGrid(max_k=3, n_max=2, m_max=2, j_min=0, j_max=2)
+    result = run_suite(["q_power", "square_sum", "double_shift"], grid)
+
+    def combos(checker):
+        return {(c.params["k"], c.params["r"]) for c in result.cases if c.checker == checker}
+
+    assert combos("q_power") == {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}
+    assert combos("square_sum") == {(2, 0), (2, 1), (2, 2), (2, 3)}
+    assert combos("double_shift") == {(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)}
+
+
+def test_failing_cases_classified_once_at_creation(monkeypatch):
+    import kbonacci.identities as identities
+
+    calls = []
+
+    def counting(checker, params):
+        calls.append(checker)
+        return expected_reason(checker, params)
+
+    monkeypatch.setattr(identities, "expected_reason", counting)
+    grid = SuiteGrid(max_k=3, n_max=4, m_max=4, j_min=-2, j_max=4)
+    result = run_suite(["geometric", "congruence_sum", "square_diff"], grid)
+    failing = [c for c in result.cases if c.status == FAILS]
+    assert failing
+    assert len(calls) == len(failing)
+    assert all(c.reason == expected_reason(c.checker, c.params) for c in failing)
+    assert all(c.reason is None for c in result.cases if c.status != FAILS)
+    assert result.passed
+    assert len(calls) == len(failing)  # the verdict reads the stored reason
 
 
 def test_run_suite_empty_selection():
