@@ -1,8 +1,9 @@
 """Timing comparison of the two term-evaluation paths.
 
 The iterative path runs the plain sum recurrence forward with no
-memoization; the companion path raises the companion matrix to a power.
-Both must produce identical values; timings are informational.
+memoization; the qpow path (fast_term) computes x^j mod P_k(x) by
+repeated squaring.  Both must produce identical values; timings are
+informational.
 """
 
 from __future__ import annotations
@@ -51,11 +52,21 @@ def iterative_term(k: int, j: int) -> int:
     _validate_order(k)
     if not isinstance(j, int) or isinstance(j, bool) or j < 0:
         raise ValueError(f"index must be an integer >= 0, got {j!r}")
+    if k == 2:
+        a, b = 0, 1
+        for _ in range(j):
+            a, b = b, a + b
+        return a
     window = deque([0] * (k - 1) + [1], maxlen=k)
     if j < k:
         return window[j]
+    # the next term is the sum of the window; the sum then gains the new
+    # term and loses the one that drops out
+    total = 1
     for _ in range(j - k + 1):
-        window.append(sum(window))
+        oldest = window[0]
+        window.append(total)
+        total += total - oldest
     return window[-1]
 
 

@@ -4,8 +4,10 @@ The order-k base matrix places sequence terms on anti-diagonals: entry
 (row, col), 1-based, holds term(j + k - row - col + 1).  Higher levels
 repeat the same layout with order-k^(r-1) blocks in place of scalars, so
 the level-r matrix has dimension k^r.  The companion matrix advances the
-family by one index step per right-multiplication, which gives the
-logarithmic-time evaluation path.
+family by one index step per right-multiplication; fast_f powers it and
+serves as the oracle for the matrix laws.  fast_term evaluates single
+terms from x^j mod P_k(x) instead, which costs O(k^2 log j) big-integer
+products against O(k^3 log j) for the companion power.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .matrix import SquareMatrix, compose, identity, zeros
-from .sequences import _validate_order, lucas_term, term
+from .sequences import _validate_order, lucas_term, term, x_power_mod
 
 
 def _validate_level(r) -> None:
@@ -97,11 +99,12 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
 
 
 def fast_term(k: int, j: int) -> int:
-    """term(k, j) for j >= 0, computed with O(log j) matrix products."""
+    """term(k, j) for j >= 0, as the top coefficient of x^j mod P_k(x).
+
+    Always takes the polynomial path, never the term window, so it stays
+    an independent check on term() at every index.
+    """
     _validate_order(k)
     if not isinstance(j, int) or isinstance(j, bool) or j < 0:
         raise ValueError(f"index must be an integer >= 0, got {j!r}")
-    if j == 0:
-        return 0
-    # the top-right entry of the level-1 matrix at index j is term(k, j)
-    return fast_f(k, 1, j).entry(0, k - 1)
+    return x_power_mod(k, j)[k - 1]

@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-j", type=int, default=None)
     add_common(p)
 
-    p = sub.add_parser("bench", help="time iterative vs companion-power evaluation")
+    p = sub.add_parser("bench", help="time the plain recurrence against x^j mod P_k evaluation")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j-max", dest="j_max", type=int, required=True)
     p.add_argument("--step", type=int, default=None)

@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 from .builders import build_higher, build_lucas, fast_f
 from .expectations import expected_reason
-from .matrix import SquareMatrix, identity, to_json_dict, zeros
+from .matrix import SquareMatrix, decimal_text, identity, to_json_dict, zeros
 from .sequences import lucas_term, term
 
 HOLDS = "holds"
@@ -104,7 +104,7 @@ class VerificationReport(_Verdict):
 def _serialize(value):
     if isinstance(value, SquareMatrix):
         return to_json_dict(value)
-    return str(value)
+    return decimal_text(value)
 
 
 def _case(checker: str, params: dict, lhs, rhs, corrected=None, status_if_equal=HOLDS) -> CheckCase:
@@ -562,7 +562,7 @@ def jsonify(value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        return str(value)
+        return decimal_text(value)
     if isinstance(value, dict):
         return {key: jsonify(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -7,6 +7,7 @@ recursive matrix families built elsewhere in the package.
 
 from __future__ import annotations
 
+import re
 from operator import mul
 
 
@@ -185,9 +186,36 @@ def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
     return grid
 
 
+def decimal_text(n: int) -> str:
+    """str(n) for an integer of any size.
+
+    Python 3.11 and later (and patched 3.10 releases) refuse str() of an
+    int over 4,300 digits; decimal converts without that limit, and the
+    limit itself is left alone because it is process-wide.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
+def parse_integer(text) -> int:
+    """int(text) for a decimal integer string of any size."""
+    try:
+        return int(text)
+    except ValueError:
+        if not isinstance(text, str) or not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(text))
+
+
 def to_json_dict(m: SquareMatrix) -> dict:
     """JSON form: dimension plus entries as decimal strings."""
-    return {"dim": m.dim, "entries": [[str(e) for e in row] for row in m.rows]}
+    return {"dim": m.dim, "entries": [[decimal_text(e) for e in row] for row in m.rows]}
 
 
 def from_json_dict(data) -> SquareMatrix:
@@ -200,7 +228,7 @@ def from_json_dict(data) -> SquareMatrix:
     entries = data["entries"]
     rows = []
     for row in entries:
-        rows.append(tuple(int(e) for e in row))
+        rows.append(tuple(parse_integer(e) for e in row))
     m = SquareMatrix(tuple(rows))
     if m.dim != dim:
         raise ValueError(f"declared dim {dim} does not match {m.dim} rows")
@@ -209,7 +237,7 @@ def from_json_dict(data) -> SquareMatrix:
 
 def to_text(m: SquareMatrix) -> str:
     """Aligned plain-text rendering, one matrix row per line."""
-    cells = [[str(e) for e in row] for row in m.rows]
+    cells = [[decimal_text(e) for e in row] for row in m.rows]
     widths = [max(len(cells[i][j]) for i in range(m.dim)) for j in range(m.dim)]
     return "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells

@@ -4,6 +4,13 @@ Terms exist for every integer index.  Seeds occupy a fixed window, later
 terms follow the order-k sum recurrence, and earlier terms come from
 running the same recurrence in reverse, so there is a single two-sided
 sequence with no seam at zero.
+
+Indices within WINDOW_CAP of zero are served from a window that grows on
+demand; every other term comes from x^j mod P_k(x), where
+P_k(x) = x^k - x^(k-1) - ... - 1 is the recurrence's characteristic
+polynomial (C. M. Fiduccia, "An efficient formula for linear
+recurrences", SIAM J. Comput. 14(1), 1985).  Memory therefore stays
+bounded whatever the index.
 """
 
 from __future__ import annotations
@@ -11,24 +18,88 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+# Largest |j| served from the window.  The window holds every term up to
+# its edge, so its size grows with the square of the index; beyond the cap
+# one term costs O(k^2 log |j|) big-integer products and no stored terms.
+WINDOW_CAP = 4096
+
 
 def _validate_order(k) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError(f"order must be an integer >= 2, got {k!r}")
 
 
+def _square_mod(c: list[int]) -> list[int]:
+    """c(x)^2 mod P_k for a coefficient vector c of length k."""
+    k = len(c)
+    p = [0] * (2 * k - 1)
+    for i, a in enumerate(c):
+        if a:
+            p[2 * i] += a * a
+            twice = a + a
+            for m in range(i + 1, k):
+                if c[m]:
+                    p[i + m] += twice * c[m]
+    # Reduce from the top with x^d = x^(d-1) + ... + x^(d-k): coefficient d
+    # gains the sum of the reduced coefficients d+1..d+k of degree >= k,
+    # kept as a running sum.
+    top = 2 * k - 2
+    run = 0
+    for d in range(top, -1, -1):
+        p[d] += run
+        if d >= k:
+            run += p[d]
+        if d + k <= top:
+            run -= p[d + k]
+    return p[:k]
+
+
+def _times_x(c: list[int]) -> list[int]:
+    """x * c(x) mod P_k: x^k = x^(k-1) + ... + 1."""
+    top = c[-1]
+    return [top] + [a + top for a in c[:-1]]
+
+
+def _over_x(c: list[int]) -> list[int]:
+    """c(x) / x mod P_k: 1/x = x^(k-1) - x^(k-2) - ... - 1."""
+    low = c[0]
+    return [a - low for a in c[1:]] + [low]
+
+
+def x_power_mod(k: int, j: int) -> list[int]:
+    """Coefficients c_0..c_(k-1) of x^j mod P_k(x), for any integer j.
+
+    P_k(x) = x^k - x^(k-1) - ... - 1.  Any sequence s of the order-k
+    recurrence has s(j) = c_0 s(0) + ... + c_(k-1) s(k-1); for the
+    k-bonacci seeds that is c_(k-1).  x is invertible mod P_k because
+    P_k(0) = -1, so negative j powers 1/x.  Left-to-right binary powering:
+    one polynomial squaring per bit of |j| and, per set bit, a step by x
+    or 1/x that costs k additions.
+    """
+    _validate_order(k)
+    step = _times_x if j >= 0 else _over_x
+    c = [1] + [0] * (k - 1)
+    for bit in bin(abs(j))[2:]:
+        c = _square_mod(c)
+        if bit == "1":
+            c = step(c)
+    return c
+
+
 class KbonacciSequence:
     """Order-k sequence seeded 0, ..., 0, 1 on indices 0..k-1.
 
-    Stores term(j) for every j in a contiguous window that grows on
-    demand in both directions.  All access goes through a lock so
-    concurrent readers stay consistent.
+    Stores term(j) for |j| <= WINDOW_CAP in a contiguous window that grows
+    on demand in both directions; terms beyond the cap come from
+    x_power_mod and are not stored.  All window access goes through a
+    lock so concurrent readers stay consistent.
     """
 
     def __init__(self, k: int) -> None:
         _validate_order(k)
         self._k = k
-        self._pos = [0] * (k - 1) + [1]  # _pos[j] = term(j) for j >= 0
+        self._seeds = (0,) * (k - 1) + (1,)
+        self._pos = list(self._seeds)  # _pos[j] = term(j) for j >= 0
         self._neg: list[int] = []  # _neg[i] = term(-1 - i)
         self._lock = threading.Lock()
 
@@ -36,10 +107,21 @@ class KbonacciSequence:
     def order(self) -> int:
         return self._k
 
+    @property
+    def cached_span(self) -> tuple[int, int]:
+        """Lowest and highest index the window holds."""
+        with self._lock:
+            return -len(self._neg), len(self._pos) - 1
+
     def _cached(self, j: int) -> int:
         return self._pos[j] if j >= 0 else self._neg[-1 - j]
 
+    def _from_seeds(self, coeffs: list[int]) -> int:
+        return sum(c * s for c, s in zip(coeffs, self._seeds) if s)
+
     def term(self, j: int) -> int:
+        if not -WINDOW_CAP <= j <= WINDOW_CAP:
+            return self._from_seeds(x_power_mod(self._k, j))
         k = self._k
         with self._lock:
             pos, neg = self._pos, self._neg
@@ -57,9 +139,21 @@ class KbonacciSequence:
     def term_range(self, j_lo: int, j_hi: int) -> list[int]:
         if j_lo > j_hi:
             raise ValueError(f"empty range: {j_lo} > {j_hi}")
-        self.term(j_lo)
-        self.term(j_hi)
-        return [self._cached(j) for j in range(j_lo, j_hi + 1)]
+        if -WINDOW_CAP <= j_lo and j_hi <= WINDOW_CAP:
+            self.term(j_lo)
+            self.term(j_hi)
+            return [self._cached(j) for j in range(j_lo, j_hi + 1)]
+        # k + 1 terms from x^j_lo, x^(j_lo+1), ..., then the double-shift
+        # form of the recurrence, s(n+1) = 2 s(n) - s(n-k), over the span
+        k, count = self._k, j_hi - j_lo + 1
+        coeffs = x_power_mod(k, j_lo)
+        values = []
+        for _ in range(min(k + 1, count)):
+            values.append(self._from_seeds(coeffs))
+            coeffs = _times_x(coeffs)
+        while len(values) < count:
+            values.append(2 * values[-1] - values[-1 - k])
+        return values
 
 
 class LucasSequence(KbonacciSequence):
@@ -67,7 +161,8 @@ class LucasSequence(KbonacciSequence):
 
     def __init__(self) -> None:
         super().__init__(2)
-        self._pos = [2, 1]
+        self._seeds = (2, 1)
+        self._pos = list(self._seeds)
 
 
 _registry: dict[int, KbonacciSequence] = {}
@@ -165,7 +260,7 @@ def backward_block(k: int, n: int) -> BackwardBlock:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"block index must be an integer >= 0, got {n!r}")
     base = n * k
-    values = tuple(term(k, -(base + i)) for i in range(1, k + 1))
+    values = tuple(reversed(term_range(k, -(base + k), -(base + 1))))
     return BackwardBlock(order=k, index=n, values=values)
 
 

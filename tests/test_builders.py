@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from kbonacci.bench import iterative_term
 from kbonacci.builders import build_base, build_higher, build_lucas, build_q, fast_f, fast_term
 from kbonacci.matrix import SquareMatrix, decompose, identity, zeros
-from kbonacci.sequences import lucas_term, term
+from kbonacci.sequences import WINDOW_CAP, KbonacciSequence, lucas_term, term
 
 # grid shared by the structural tests: every (k, r) with dimension <= 27
 GRID = [(k, r) for k in (2, 3, 4) for r in (1, 2, 3) if k**r <= 27]
@@ -175,6 +176,22 @@ def test_fast_term_matches_engine():
     for k in (2, 3, 4, 5):
         for j in range(0, 201):
             assert fast_term(k, j) == term(k, j), (k, j)
+
+
+def test_fast_term_beyond_the_window_cap():
+    for k in range(2, 9):
+        for j in (WINDOW_CAP, WINDOW_CAP + 1, 3 * WINDOW_CAP + k):
+            assert fast_term(k, j) == iterative_term(k, j), (k, j)
+
+
+def test_fast_term_uses_neither_window_nor_matrix_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fast_term must take the polynomial path")
+
+    monkeypatch.setattr(KbonacciSequence, "term", refuse)
+    monkeypatch.setattr(SquareMatrix, "__mul__", refuse)
+    assert fast_term(2, 10) == 55
+    assert fast_term(4, 12) == 208
 
 
 def test_fast_term_domain():

@@ -496,3 +496,12 @@ def test_matrix_beyond_digit_limit(capsys, big_fibonacci):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     assert parse_csv(out) == [["col_1", "col_2"], *rows]
+
+
+def test_term_at_one_million(capsys):
+    # 208,988 digits; the window alone would need tens of GiB here
+    code, out, err = run_cli(capsys, "term", "--k", "2", "--j", "1000000")
+    assert (code, err) == (0, "")
+    digits = out.rstrip("\n")
+    assert len(digits) == 208988 and digits.isdigit()
+    assert digits.startswith("1953282128707757731632") and digits.endswith("68996526838242546875")

@@ -195,3 +195,60 @@ def test_text_alignment():
 def test_symmetry_probe():
     assert SquareMatrix([[1, 2], [2, 3]]).is_symmetric()
     assert not SquareMatrix([[1, 2], [3, 4]]).is_symmetric()
+
+
+# ---------------------------------------------------------------------------
+# integers past the int-to-text digit limit (4,300 digits on Python 3.11+),
+# with the limit left as the interpreter sets it
+
+BIG_J = 30000  # F(30000) has 6,270 digits
+
+
+def chunked_decimal(n: int) -> str:
+    """Decimal text of n built from 1000-digit pieces, each under the limit."""
+    sign, n = ("-" if n < 0 else ""), abs(n)
+    pieces = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        pieces.append(str(low).zfill(1000))
+    return sign + str(n) + "".join(reversed(pieces))
+
+
+@pytest.fixture(scope="module")
+def big_base():
+    """F at BIG_J - 1, BIG_J, BIG_J + 1 from a plain two-term loop, and the
+    level-1 order-2 matrix at BIG_J built from them."""
+    a, b = 0, 1
+    for _ in range(BIG_J - 1):
+        a, b = b, a + b
+    values = (a, b, a + b)
+    assert all(len(chunked_decimal(v)) > 4300 for v in values)
+    return values, SquareMatrix([[a + b, b], [b, a]])
+
+
+def test_serializers_beyond_digit_limit(big_base):
+    from kbonacci.identities import jsonify
+
+    (before, at, after), m = big_base
+    assert jsonify(term(2, BIG_J)) == chunked_decimal(at)
+    assert jsonify({"v": [-at]}) == {"v": [chunked_decimal(-at)]}
+    texts = [[chunked_decimal(after), chunked_decimal(at)], [chunked_decimal(at), chunked_decimal(before)]]
+    assert to_json_dict(m) == {"dim": 2, "entries": texts}
+    assert [line.split() for line in to_text(m).splitlines()] == texts
+    assert from_json_dict({"dim": 2, "entries": texts}) == m
+    negated = [["-" + t for t in row] for row in texts]
+    assert from_json_dict({"dim": 2, "entries": negated}) == m.scale(-1)
+
+
+def test_json_round_trip_beyond_digit_limit(big_base):
+    import json
+
+    m = big_base[1]
+    assert from_json_dict(json.loads(json.dumps(to_json_dict(m)))) == m
+
+
+def test_json_rejects_long_malformed_integers():
+    digits = "7" * 5000
+    for bad in (digits + ".5", digits + "e3", "+-" + digits, digits + "x", "1_" + digits):
+        with pytest.raises(ValueError):
+            from_json_dict({"dim": 1, "entries": [[bad]]})

@@ -9,9 +9,16 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbonacci.bench import iterative_term
+from kbonacci.builders import fast_term
 from kbonacci.sequences import (
+    WINDOW_CAP,
     KbonacciSequence,
     LucasSequence,
     backward_block,
@@ -21,6 +28,7 @@ from kbonacci.sequences import (
     lucas_term,
     term,
     term_range,
+    x_power_mod,
 )
 
 
@@ -279,3 +287,115 @@ def test_concurrent_reads_stay_consistent():
     for chunk in results:
         for j, value in chunk.items():
             assert value == expected[j]
+
+
+# ---------------------------------------------------------------------------
+# terms beyond the window cap come from x^j mod P_k
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_polynomial_engine_equals_window(k):
+    # term() serves these indices from the window, so call the engine itself
+    window = [term(k, j) for j in range(-3000, 3001)]
+    assert [x_power_mod(k, j)[k - 1] for j in range(-3000, 3001)] == window
+
+
+def test_polynomial_engine_small_powers():
+    assert x_power_mod(3, 0) == [1, 0, 0]
+    assert x_power_mod(3, 2) == [0, 0, 1]
+    assert x_power_mod(3, 3) == [1, 1, 1]  # x^3 = x^2 + x + 1
+    assert x_power_mod(3, -1) == [-1, -1, 1]  # 1/x = x^2 - x - 1
+    assert x_power_mod(2, 10) == [34, 55]  # x^n = F(n) x + F(n-1)
+    with pytest.raises(ValueError):
+        x_power_mod(1, 5)
+
+
+def test_term_matches_iterative_across_the_cap():
+    for k in range(2, 9):
+        for j in [*range(WINDOW_CAP - k, WINDOW_CAP + k + 1), 20_000]:
+            assert term(k, j) == iterative_term(k, j), (k, j)
+
+
+def test_negative_terms_beyond_the_cap_match_a_backward_loop():
+    lowest = -(WINDOW_CAP + 40)
+    for k in range(2, 9):
+        reference = oracle_values(k, lowest, k - 1)
+        for j in range(lowest, -(WINDOW_CAP - k) + 1):
+            assert term(k, j) == reference[j], (k, j)
+        assert term_range(k, lowest, -WINDOW_CAP) == [reference[j] for j in range(lowest, -WINDOW_CAP + 1)]
+
+
+def test_lucas_terms_beyond_the_cap():
+    # L(n) = F(n - 1) + F(n + 1), with F(-m) = (-1)^(m + 1) F(m)
+    fib = [0, 1]
+    while len(fib) < 5003:
+        fib.append(fib[-1] + fib[-2])
+
+    def f(n):
+        return fib[n] if n >= 0 else (-1) ** (-n + 1) * fib[-n]
+
+    for n in (5000, -5000, 5001, -5001):
+        assert lucas_term(n) == f(n - 1) + f(n + 1), n
+    assert LucasSequence().term_range(-5001, -4999) == [f(n - 1) + f(n + 1) for n in (-5001, -5000, -4999)]
+
+
+def test_window_stays_bounded_beyond_the_cap():
+    far = 3 * WINDOW_CAP
+    for k in (2, 5):
+        seq = KbonacciSequence(k)
+        seq.term(far)
+        seq.term(-far)
+        seq.term_range(far, far + 3)
+        seq.term_range(WINDOW_CAP - 3, WINDOW_CAP + 1)
+        assert seq.cached_span == (0, k - 1), k
+        seq.term(WINDOW_CAP)
+        seq.term(-WINDOW_CAP)
+        seq.term_range(-WINDOW_CAP, WINDOW_CAP)
+        assert seq.cached_span == (-WINDOW_CAP, WINDOW_CAP), k
+        seq.term(far + 1)
+        seq.term_range(-far, far)
+        assert seq.cached_span == (-WINDOW_CAP, WINDOW_CAP), k
+    lucas = LucasSequence()
+    lucas.term(far)
+    lucas.term(-far)
+    lucas.term_range(-far, -far + 5)
+    assert lucas.cached_span == (0, 1)
+
+
+def test_term_range_far_from_zero_is_bounded():
+    j = 10**6
+    tracemalloc.start()
+    try:
+        values = term_range(2, j, j + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[2] == values[1] + values[0]
+    assert values == [fast_term(2, i) for i in (j, j + 1, j + 2)]
+    assert peak < 4 << 20  # each term is about 85 KiB
+
+
+FAR = st.integers(WINDOW_CAP + 9, 10**5)
+SIGN = st.sampled_from((1, -1))
+ORDER = st.integers(2, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=ORDER, size=FAR, sign=SIGN)
+def test_forward_recurrence_beyond_the_cap(k, size, sign):
+    j = sign * size
+    assert term(k, j) == sum(term(k, j - i) for i in range(1, k + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=ORDER, size=FAR, sign=SIGN)
+def test_backward_recurrence_beyond_the_cap(k, size, sign):
+    j = sign * size
+    assert term(k, j) == term(k, j + k) - sum(term(k, j + i) for i in range(1, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=ORDER, size=FAR, sign=SIGN)
+def test_double_shift_law_beyond_the_cap(k, size, sign):
+    j = sign * size
+    assert term(k, j + 1) == 2 * term(k, j) - term(k, j - k)
