@@ -6,22 +6,43 @@ running the same recurrence in reverse, so there is a single two-sided
 sequence with no seam at zero.
 
 Indices within WINDOW_CAP of zero are served from a window that grows on
-demand; every other term comes from x^j mod P_k(x), where
-P_k(x) = x^k - x^(k-1) - ... - 1 is the recurrence's characteristic
-polynomial (C. M. Fiduccia, "An efficient formula for linear
-recurrences", SIAM J. Comput. 14(1), 1985).  Memory therefore stays
-bounded whatever the index.
+demand.  Beyond it each side keeps a short frame of consecutive terms that
+moves one index per step by the double-shift law s(n+1) = 2 s(n) - s(n-k);
+a read far from the frame and from the window starts a new frame from
+x^j mod P_k(x), where P_k(x) = x^k - x^(k-1) - ... - 1 is the recurrence's
+characteristic polynomial (C. M. Fiduccia, "An efficient formula for
+linear recurrences", SIAM J. Comput. 14(1), 1985).  Memory therefore stays
+bounded whatever the index, and runs of nearby reads cost a step each.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 # Largest |j| served from the window.  The window holds every term up to
-# its edge, so its size grows with the square of the index; beyond the cap
-# one term costs O(k^2 log |j|) big-integer products and no stored terms.
+# its edge, so its size grows with the square of the index.
 WINDOW_CAP = 4096
+
+# A frame beyond the cap holds up to FRAME_TERMS * (k + 1) terms: enough
+# for the band of indices that build_base and the identity checkers read
+# around one index (replaying the term reads of a verify run up to j =
+# 6000, 2 and 4 times k + 1 took about 20% longer than 8), at a few times
+# the memory of the engine's k coefficients.
+FRAME_TERMS = 8
+
+
+def _step_limit(k: int, j: int) -> int:
+    """Most double-shift steps worth taking toward index j rather than
+    computing x^j mod P_k afresh.
+
+    A step costs two additions of integers the size of term(j); the
+    engine costs k(k+1)/2 products per bit of |j|, each no cheaper than a
+    step.  Measured, the engine's break-even lies 1x to 20x beyond this
+    count (further as |j| grows), so a step taken under it never loses.
+    """
+    return k * (k + 1) // 2 * abs(j).bit_length()
 
 
 def _validate_order(k) -> None:
@@ -86,72 +107,134 @@ def x_power_mod(k: int, j: int) -> list[int]:
     return c
 
 
+class _Frame:
+    """Consecutive terms s(lo), s(lo + 1), ... of one sequence: at least
+    k + 1 of them and at most FRAME_TERMS * (k + 1).
+
+    Reading an index outside them steps the nearer end outward by the
+    double-shift law s(n+1) = 2 s(n) - s(n-k), two additions per index,
+    and drops terms from the other end once the frame is full.
+    """
+
+    def __init__(self, lo: int, values: list[int]) -> None:
+        self.lo = lo
+        self.k = len(values) - 1
+        self.values = deque(values, maxlen=FRAME_TERMS * len(values))
+
+    def distance(self, j: int) -> int:
+        return max(self.lo - j, j - (self.lo + len(self.values) - 1), 0)
+
+    def get(self, j: int) -> int:
+        v, k = self.values, self.k
+        while j >= self.lo + len(v):
+            if len(v) == v.maxlen:
+                self.lo += 1
+            v.append(2 * v[-1] - v[-1 - k])
+        while j < self.lo:
+            v.appendleft(2 * v[k - 1] - v[k])
+            self.lo -= 1
+        return v[j - self.lo]
+
+
 class KbonacciSequence:
     """Order-k sequence seeded 0, ..., 0, 1 on indices 0..k-1.
 
     Stores term(j) for |j| <= WINDOW_CAP in a contiguous window that grows
-    on demand in both directions; terms beyond the cap come from
-    x_power_mod and are not stored.  All window access goes through a
-    lock so concurrent readers stay consistent.
+    on demand in both directions; a term beyond the cap comes from the
+    frame on its side, so the window never grows past the cap (term_range
+    may take it k further).  All access goes through a lock so concurrent
+    readers stay consistent.
     """
 
     def __init__(self, k: int) -> None:
         _validate_order(k)
         self._k = k
-        self._seeds = (0,) * (k - 1) + (1,)
-        self._pos = list(self._seeds)  # _pos[j] = term(j) for j >= 0
+        self._seeds = self._seed_values(k)
+        # _pos[j] = term(j) for j >= 0; k + 1 terms so the double-shift
+        # law applies from the start
+        self._pos = [*self._seeds, sum(self._seeds)]
         self._neg: list[int] = []  # _neg[i] = term(-1 - i)
+        self._frames: dict[int, _Frame] = {}  # by side of the window, 1 or -1
         self._lock = threading.Lock()
+
+    @staticmethod
+    def _seed_values(k: int) -> tuple[int, ...]:
+        return (0,) * (k - 1) + (1,)
 
     @property
     def order(self) -> int:
         return self._k
 
-    @property
-    def cached_span(self) -> tuple[int, int]:
-        """Lowest and highest index the window holds."""
-        with self._lock:
-            return -len(self._neg), len(self._pos) - 1
-
     def _cached(self, j: int) -> int:
         return self._pos[j] if j >= 0 else self._neg[-1 - j]
+
+    def _fill(self, j: int) -> None:
+        """Grow the window to hold index j."""
+        k, pos, neg = self._k, self._pos, self._neg
+        while j >= len(pos):
+            pos.append(2 * pos[-1] - pos[-1 - k])
+        while -1 - j >= len(neg):
+            # s(m) = 2 s(m + k) - s(m + k + 1)
+            m = -1 - len(neg)
+            neg.append(2 * self._cached(m + k) - self._cached(m + k + 1))
+
+    def _frame_near(self, j: int) -> _Frame:
+        """The frame on j's side of the window, |j| > WINDOW_CAP.
+
+        It is kept while reaching j from it takes at most _step_limit
+        steps; otherwise it starts again at the window's edge if j is that
+        close to it, else at j from x^j mod P_k.
+        """
+        k = self._k
+        side = 1 if j > 0 else -1
+        frame = self._frames.get(side)
+        if frame is None or frame.distance(j) > _step_limit(k, j):
+            held = len(self._pos) - 1 if side > 0 else len(self._neg)
+            if abs(j) - held <= _step_limit(k, j):
+                # the k + 1 outermost terms of the window, filled to the cap
+                self._fill(side * WINDOW_CAP)
+                lo = len(self._pos) - 1 - k if side > 0 else -len(self._neg)
+                frame = _Frame(lo, [self._cached(i) for i in range(lo, lo + k + 1)])
+            else:
+                coeffs = x_power_mod(k, j)
+                values = []
+                for _ in range(k + 1):
+                    values.append(self._from_seeds(coeffs))
+                    coeffs = _times_x(coeffs)
+                frame = _Frame(j, values)
+            self._frames[side] = frame
+        return frame
 
     def _from_seeds(self, coeffs: list[int]) -> int:
         return sum(c * s for c, s in zip(coeffs, self._seeds) if s)
 
     def term(self, j: int) -> int:
-        if not -WINDOW_CAP <= j <= WINDOW_CAP:
-            return self._from_seeds(x_power_mod(self._k, j))
-        k = self._k
         with self._lock:
-            pos, neg = self._pos, self._neg
-            while j >= len(pos):
-                pos.append(sum(pos[-k:]))
-            while -1 - j >= len(neg):
-                # term(m) = term(m + k) - term(m + 1) - ... - term(m + k - 1)
-                m = -1 - len(neg)
-                value = self._cached(m + k)
-                for n in range(1, k):
-                    value -= self._cached(m + n)
-                neg.append(value)
-            return self._cached(j)
+            if -len(self._neg) <= j < len(self._pos):
+                return self._cached(j)
+            if -WINDOW_CAP <= j <= WINDOW_CAP:
+                self._fill(j)
+                return self._cached(j)
+            frame = self._frames.get(1 if j > 0 else -1)
+            if frame is not None and 0 <= j - frame.lo < len(frame.values):
+                return frame.values[j - frame.lo]
+            return self._frame_near(j).get(j)
 
     def term_range(self, j_lo: int, j_hi: int) -> list[int]:
         if j_lo > j_hi:
             raise ValueError(f"empty range: {j_lo} > {j_hi}")
-        if -WINDOW_CAP <= j_lo and j_hi <= WINDOW_CAP:
-            self.term(j_lo)
-            self.term(j_hi)
-            return [self._cached(j) for j in range(j_lo, j_hi + 1)]
-        # k + 1 terms from x^j_lo, x^(j_lo+1), ..., then the double-shift
-        # form of the recurrence, s(n+1) = 2 s(n) - s(n-k), over the span
-        k, count = self._k, j_hi - j_lo + 1
-        coeffs = x_power_mod(k, j_lo)
-        values = []
-        for _ in range(min(k + 1, count)):
-            values.append(self._from_seeds(coeffs))
-            coeffs = _times_x(coeffs)
-        while len(values) < count:
+        k = self._k
+        with self._lock:
+            if -WINDOW_CAP <= j_lo <= WINDOW_CAP:
+                # at least k + 1 terms, for the steps past the cap below
+                top = min(j_hi, max(WINDOW_CAP, j_lo + k))
+                self._fill(j_lo)
+                self._fill(top)
+                values = [self._cached(j) for j in range(j_lo, top + 1)]
+            else:
+                frame = self._frame_near(j_lo)
+                values = [frame.get(j) for j in range(j_lo, min(j_hi, j_lo + k) + 1)]
+        while len(values) < j_hi - j_lo + 1:
             values.append(2 * values[-1] - values[-1 - k])
         return values
 
@@ -161,8 +244,10 @@ class LucasSequence(KbonacciSequence):
 
     def __init__(self) -> None:
         super().__init__(2)
-        self._seeds = (2, 1)
-        self._pos = list(self._seeds)
+
+    @staticmethod
+    def _seed_values(k: int) -> tuple[int, ...]:
+        return (2, 1)
 
 
 _registry: dict[int, KbonacciSequence] = {}

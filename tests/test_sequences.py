@@ -7,17 +7,16 @@ hand-checked values, so the engine is never tested against itself.
 
 from __future__ import annotations
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
-import tracemalloc
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from kbonacci import sequences
 from kbonacci.bench import iterative_term
 from kbonacci.builders import fast_term
 from kbonacci.sequences import (
+    FRAME_TERMS,
     WINDOW_CAP,
     KbonacciSequence,
     LucasSequence,
@@ -289,8 +288,23 @@ def test_concurrent_reads_stay_consistent():
             assert value == expected[j]
 
 
+def test_concurrent_reads_beyond_the_cap_stay_consistent():
+    seq = KbonacciSequence(3)
+    starts = [WINDOW_CAP + 1, WINDOW_CAP + 30, 20_000, 20_025, -WINDOW_CAP - 40, -20_000]
+
+    def worker(start):
+        return {j: seq.term(j) for j in range(start, start + 40)}
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(worker, starts))
+    for chunk in results:
+        for j, value in chunk.items():
+            assert value == x_power_mod(3, j)[2], j
+
+
 # ---------------------------------------------------------------------------
-# terms beyond the window cap come from x^j mod P_k
+# terms beyond the window cap come from x^j mod P_k and from frames stepped
+# by the double-shift law
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -341,25 +355,42 @@ def test_lucas_terms_beyond_the_cap():
 
 def test_window_stays_bounded_beyond_the_cap():
     far = 3 * WINDOW_CAP
-    for k in (2, 5):
-        seq = KbonacciSequence(k)
-        seq.term(far)
-        seq.term(-far)
+    sequences_under_test = [KbonacciSequence(k) for k in (2, 5, 100)] + [LucasSequence()]
+    for seq in sequences_under_test:
+        k = seq.order
+        for j in (far, -far, WINDOW_CAP + 1, -WINDOW_CAP - 1, far + 7, -far - 7):
+            seq.term(j)
         seq.term_range(far, far + 3)
-        seq.term_range(WINDOW_CAP - 3, WINDOW_CAP + 1)
-        assert seq.cached_span == (0, k - 1), k
-        seq.term(WINDOW_CAP)
-        seq.term(-WINDOW_CAP)
-        seq.term_range(-WINDOW_CAP, WINDOW_CAP)
-        assert seq.cached_span == (-WINDOW_CAP, WINDOW_CAP), k
-        seq.term(far + 1)
         seq.term_range(-far, far)
-        assert seq.cached_span == (-WINDOW_CAP, WINDOW_CAP), k
-    lucas = LucasSequence()
-    lucas.term(far)
-    lucas.term(-far)
-    lucas.term_range(-far, -far + 5)
-    assert lucas.cached_span == (0, 1)
+        seq.term_range(WINDOW_CAP - 3, far)
+        assert len(seq._pos) - 1 <= WINDOW_CAP + k, k
+        assert len(seq._neg) <= WINDOW_CAP, k
+        for frame in seq._frames.values():
+            assert k + 1 <= len(frame.values) <= FRAME_TERMS * (k + 1), k
+
+
+def test_reads_beyond_the_cap_step_when_that_is_cheaper(monkeypatch):
+    # a lone deep read at a small order starts from x^j mod P_k and leaves
+    # the window as it was
+    seq = KbonacciSequence(2)
+    j = 10**5
+    assert seq.term(j) == fast_term(2, j)
+    assert len(seq._pos) == 3 and not seq._neg
+
+    def refuse(*args):
+        raise AssertionError("a nearby read must step, not start afresh")
+
+    # reads near it step from its frame, forward and back
+    monkeypatch.setattr(sequences, "x_power_mod", refuse)
+    for i in (j + 5, j - 30, j + 1, j):
+        assert seq.term(i) == fast_term(2, i), i
+    assert seq.term_range(j - 3, j + 3) == [fast_term(2, i) for i in range(j - 3, j + 4)]
+    # at a large order, reads just past the cap step from the window's edge
+    k, past = 100, WINDOW_CAP + 500
+    big = KbonacciSequence(k)
+    assert big.term(past) == iterative_term(k, past)
+    assert big.term(-past) == oracle_values(k, -past, k - 1)[-past]
+    assert len(big._pos) - 1 <= WINDOW_CAP + k and len(big._neg) == WINDOW_CAP
 
 
 def test_term_range_far_from_zero_is_bounded():
@@ -373,29 +404,3 @@ def test_term_range_far_from_zero_is_bounded():
     assert values[2] == values[1] + values[0]
     assert values == [fast_term(2, i) for i in (j, j + 1, j + 2)]
     assert peak < 4 << 20  # each term is about 85 KiB
-
-
-FAR = st.integers(WINDOW_CAP + 9, 10**5)
-SIGN = st.sampled_from((1, -1))
-ORDER = st.integers(2, 8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(k=ORDER, size=FAR, sign=SIGN)
-def test_forward_recurrence_beyond_the_cap(k, size, sign):
-    j = sign * size
-    assert term(k, j) == sum(term(k, j - i) for i in range(1, k + 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(k=ORDER, size=FAR, sign=SIGN)
-def test_backward_recurrence_beyond_the_cap(k, size, sign):
-    j = sign * size
-    assert term(k, j) == term(k, j + k) - sum(term(k, j + i) for i in range(1, k))
-
-
-@settings(max_examples=60, deadline=None)
-@given(k=ORDER, size=FAR, sign=SIGN)
-def test_double_shift_law_beyond_the_cap(k, size, sign):
-    j = sign * size
-    assert term(k, j + 1) == 2 * term(k, j) - term(k, j - k)
