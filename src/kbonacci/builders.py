@@ -4,15 +4,22 @@ The order-k base matrix places sequence terms on anti-diagonals: entry
 (row, col), 1-based, holds term(j + k - row - col + 1).  Higher levels
 repeat the same layout with order-k^(r-1) blocks in place of scalars, so
 the level-r matrix has dimension k^r.  The companion matrix advances the
-family by one index step per right-multiplication; fast_f powers it and
-serves as the oracle for the matrix laws.  fast_term evaluates single
-terms from x^j mod P_k(x) instead, which costs O(k^2 log j) big-integer
-products against O(k^3 log j) for the companion power.
+family by one index step per right-multiplication; it is built from
+identity and zero blocks the same way, so Q_r = Q_1 (x) I, the Kronecker
+product with the identity of dimension k^(r-1).  fast_f powers the k-by-k
+companion matrix, lifts the result blockwise and serves as the oracle for
+the matrix laws.  fast_term evaluates single terms from x^j mod P_k(x)
+instead, which costs O(k^2 log j) big-integer products against
+O(k^3 log j) for the companion power.
+
+Every matrix built here is wrapped unchecked (SquareMatrix._of): its
+entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .matrix import SquareMatrix, compose, identity, zeros
 from .sequences import _validate_order, lucas_term, term, x_power_mod
@@ -27,7 +34,7 @@ def _validate_level(r) -> None:
 def build_base(k: int, j: int) -> SquareMatrix:
     """Order-k matrix of sequence terms anchored at index j."""
     _validate_order(k)
-    return SquareMatrix(
+    return SquareMatrix._of(
         tuple(
             tuple(term(k, j + k - row - col + 1) for col in range(1, k + 1))
             for row in range(1, k + 1)
@@ -54,7 +61,7 @@ def build_lucas(r: int, j: int) -> SquareMatrix:
     """Level-r Lucas family member at index j; dimension 2^r."""
     _validate_level(r)
     if r == 1:
-        return SquareMatrix(
+        return SquareMatrix._of(
             tuple(
                 tuple(lucas_term(j + 2 - row - col + 1) for col in (1, 2))
                 for row in (1, 2)
@@ -74,7 +81,7 @@ def build_q(k: int, r: int) -> SquareMatrix:
     _validate_order(k)
     _validate_level(r)
     if r == 1:
-        return SquareMatrix(
+        return SquareMatrix._of(
             tuple(
                 tuple(1 if col == 1 or col == row + 1 else 0 for col in range(1, k + 1))
                 for row in range(1, k + 1)
@@ -90,12 +97,27 @@ def build_q(k: int, r: int) -> SquareMatrix:
 
 
 def fast_f(k: int, r: int, j: int) -> SquareMatrix:
-    """Level-r family member at index j >= 1 via companion-matrix powers."""
+    """Level-r family member at index j >= 1 via companion-matrix powers.
+
+    F_r(j) = F_r(1) Q_r^(j-1) with Q_r^(j-1) = q (x) I for q = Q_1^(j-1), so
+    block (a, b) of the result is the sum over c of q[c][b] times block
+    (a, c) of F_r(1).  Within one row of F_r(1), row[t::inner] holds entry
+    t of each of the row's k blocks.  That costs O(k^3 log j) products for
+    the power plus k^(2r+1) for the lift, against O(k^(3r) log j) for
+    powering Q_r itself.
+    """
     _validate_order(k)
     _validate_level(r)
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"index must be an integer >= 1, got {j!r}")
-    return build_higher(k, r, 1) * build_q(k, r) ** (j - 1)
+    q_cols = tuple(zip(*(build_q(k, 1) ** (j - 1)).rows))
+    inner = k ** (r - 1)
+    return SquareMatrix._of(
+        tuple(
+            tuple(sum(map(mul, col, row[t::inner])) for col in q_cols for t in range(inner))
+            for row in build_higher(k, r, 1).rows
+        )
+    )
 
 
 def fast_term(k: int, j: int) -> int:

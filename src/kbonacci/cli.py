@@ -20,6 +20,10 @@ from . import builders, matrix, sequences
 from .identities import SuiteGrid, jsonify, run_suite
 
 
+# largest matrix dimension (k^r, or 2^r for family L) that `matrix` builds
+MATRIX_DIM_CAP = 1024
+
+
 class _UsageError(Exception):
     pass
 
@@ -135,6 +139,15 @@ def _cmd_seq(args) -> int:
     return 0
 
 
+def _check_matrix_dim(k, r) -> None:
+    """Refuse k^r > MATRIX_DIM_CAP before anything is built.  k >= 2 at
+    least doubles the dimension per level, so r past the cap's bit length
+    is refused without forming k^r; smaller k or r are left to the
+    builders' own checks."""
+    if k >= 2 and r >= 1 and (r > MATRIX_DIM_CAP.bit_length() or k**r > MATRIX_DIM_CAP):
+        raise _UsageError(f"matrix dimension {k}^{r} exceeds the cap of {MATRIX_DIM_CAP}")
+
+
 def _cmd_matrix(args) -> int:
     family = args.family
     if family == "L":
@@ -142,18 +155,21 @@ def _cmd_matrix(args) -> int:
             raise _UsageError("family L is order 2 only; omit --k or pass --k 2")
         if args.j is None:
             raise _UsageError("family L requires --j")
+        _check_matrix_dim(2, args.r)
         m = builders.build_lucas(args.r, args.j)
     elif family == "Q":
         if args.j is not None:
             raise _UsageError("family Q does not take --j")
         if args.k is None:
             raise _UsageError("family Q requires --k")
+        _check_matrix_dim(args.k, args.r)
         m = builders.build_q(args.k, args.r)
     else:
         if args.k is None:
             raise _UsageError("family F requires --k")
         if args.j is None:
             raise _UsageError("family F requires --j")
+        _check_matrix_dim(args.k, args.r)
         m = builders.build_higher(args.k, args.r, args.j)
     if args.format == "plain":
         text = matrix.to_text(m)

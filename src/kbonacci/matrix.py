@@ -8,7 +8,7 @@ recursive matrix families built elsewhere in the package.
 from __future__ import annotations
 
 import re
-from operator import mul
+from operator import add, mul, neg, sub
 
 
 def _is_int(x) -> bool:
@@ -16,7 +16,12 @@ def _is_int(x) -> bool:
 
 
 class SquareMatrix:
-    """Immutable n-by-n integer matrix."""
+    """Immutable n-by-n integer matrix.
+
+    The constructor checks every entry, so it is for input from outside
+    the package; results the package computes itself are wrapped
+    unchecked by _of.
+    """
 
     __slots__ = ("_rows",)
 
@@ -32,6 +37,14 @@ class SquareMatrix:
                 if not _is_int(entry):
                     raise ValueError(f"entries must be integers, got {entry!r}")
         object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "SquareMatrix":
+        """Wrap rows, a non-empty tuple of equal-length tuples of ints,
+        without checking them."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
@@ -67,26 +80,26 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_dim(other)
-        return SquareMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._rows, other._rows))
+        return SquareMatrix._of(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def __sub__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_dim(other)
-        return SquareMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._rows, other._rows))
+        return SquareMatrix._of(
+            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def __neg__(self):
-        return SquareMatrix(tuple(tuple(-a for a in row) for row in self._rows))
+        return SquareMatrix._of(tuple(tuple(map(neg, row)) for row in self._rows))
 
     def scale(self, c: int) -> "SquareMatrix":
         """Scalar multiple c * self."""
         if not _is_int(c):
             raise ValueError(f"scalar must be an integer, got {c!r}")
-        return SquareMatrix(tuple(tuple(c * a for a in row) for row in self._rows))
+        return SquareMatrix._of(tuple(tuple(c * a for a in row) for row in self._rows))
 
     def __mul__(self, other):
         if _is_int(other):
@@ -95,7 +108,7 @@ class SquareMatrix:
             return NotImplemented
         self._check_dim(other)
         cols = tuple(zip(*other._rows))
-        return SquareMatrix(
+        return SquareMatrix._of(
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self._rows)
         )
 
@@ -127,14 +140,16 @@ def identity(dim: int) -> SquareMatrix:
     """Identity matrix of the given dimension."""
     if not _is_int(dim) or dim < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
-    return SquareMatrix(tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
+    return SquareMatrix._of(
+        tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+    )
 
 
 def zeros(dim: int) -> SquareMatrix:
     """Zero matrix of the given dimension."""
     if not _is_int(dim) or dim < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
-    return SquareMatrix(tuple((0,) * dim for _ in range(dim)))
+    return SquareMatrix._of(((0,) * dim,) * dim)
 
 
 def compose(blocks) -> SquareMatrix:
@@ -160,7 +175,7 @@ def compose(blocks) -> SquareMatrix:
             for b in block_row:
                 merged.extend(b.rows[i])
             rows.append(tuple(merged))
-    return SquareMatrix(tuple(rows))
+    return SquareMatrix._of(tuple(rows))
 
 
 def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
@@ -172,17 +187,10 @@ def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
     inner = m.dim // k
     grid = []
     for bi in range(k):
-        row = []
-        for bj in range(k):
-            row.append(
-                SquareMatrix(
-                    tuple(
-                        m.rows[bi * inner + i][bj * inner : (bj + 1) * inner]
-                        for i in range(inner)
-                    )
-                )
-            )
-        grid.append(row)
+        band = m.rows[bi * inner : (bi + 1) * inner]
+        grid.append(
+            [SquareMatrix._of(tuple(row[bj * inner : (bj + 1) * inner] for row in band)) for bj in range(k)]
+        )
     return grid
 
 
@@ -202,11 +210,16 @@ def decimal_text(n: int) -> str:
 
 
 def parse_integer(text) -> int:
-    """int(text) for a decimal integer string of any size."""
+    """int(text) for a decimal integer string of any size; an int passes
+    through, and anything else (a float, a bool) is rejected."""
+    if _is_int(text):
+        return int(text)
+    if not isinstance(text, str):
+        raise ValueError(f"entries must be integers or decimal strings, got {text!r}")
     try:
         return int(text)
     except ValueError:
-        if not isinstance(text, str) or not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
             raise
         from decimal import Decimal
 

@@ -154,6 +154,17 @@ def test_fast_f_agrees_with_direct_construction():
             assert fast_f(k, r, j) == build_higher(k, r, j), (k, r, j)
 
 
+def test_fast_f_lift_matches_dense_companion_product():
+    # reference F_r(1) Q_r^(j-1), one dense product of dimension k^r <= 125
+    # per step, so the Q_r = Q_1 (x) I step inside fast_f is checked as well
+    for k in range(2, 6):
+        for r in range(1, 4):
+            reference, q = build_higher(k, r, 1), build_q(k, r)
+            for j in range(1, 26):
+                assert fast_f(k, r, j) == reference, (k, r, j)
+                reference = reference * q
+
+
 def test_fast_f_frozen_and_domain():
     assert fast_f(2, 1, 5) == SquareMatrix([[8, 5], [5, 3]])
     for bad in (0, -1, 2.5):

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from kbonacci import builders, cli, matrix
 from kbonacci.cli import main
 
 
@@ -178,6 +179,48 @@ def test_matrix_usage_errors(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: "), argv
+
+
+def test_matrix_dimension_cap_exits_2_without_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nothing may be built past the dimension cap")
+
+    for name in ("build_higher", "build_lucas", "build_q"):
+        monkeypatch.setattr(builders, name, refuse)
+    for argv in (
+        ("matrix", "--k", "2", "--r", "40", "--j", "1"),
+        ("matrix", "--family", "L", "--r", "40", "--j", "1"),
+        ("matrix", "--family", "Q", "--k", "2", "--r", "40"),
+        ("matrix", "--k", "2", "--r", "1000000000", "--j", "1"),
+        ("matrix", "--k", "2", "--r", "11", "--j", "1"),
+        ("matrix", "--k", "33", "--r", "2", "--j", "1"),
+        ("matrix", "--family", "Q", "--k", str(cli.MATRIX_DIM_CAP + 1), "--r", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: matrix dimension "), argv
+
+
+def test_matrix_dimension_cap_admits_the_cap(capsys, monkeypatch):
+    assert cli.MATRIX_DIM_CAP == 1024
+    built = []
+
+    def record(*args):
+        built.append(args)
+        return matrix.identity(1)
+
+    for name in ("build_higher", "build_lucas", "build_q"):
+        monkeypatch.setattr(builders, name, record)
+    for argv in (
+        ("matrix", "--k", "2", "--r", "10", "--j", "1"),
+        ("matrix", "--k", "32", "--r", "2", "--j", "1"),
+        ("matrix", "--family", "L", "--r", "10", "--j", "1"),
+        ("matrix", "--family", "Q", "--k", "1024", "--r", "1"),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+    assert built == [(2, 10, 1), (32, 2, 1), (10, 1), (1024, 1)]
 
 
 # ---------------------------------------------------------------------------

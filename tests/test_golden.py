@@ -1,9 +1,10 @@
-"""Golden outputs: the default-grid verify report in every format and the
-README's CLI examples.
+"""Golden outputs: the default-grid verify report in every format, the
+dense-grid JSON report and the README's CLI examples.
 
 A refactor that keeps these bytes keeps the observable behaviour.  The
 report hashes are SHA-256 over the output with every line containing
-"generated_at" removed; the trailing newline is part of the hashed bytes.
+"generated_at" removed (the dense report is built without one); the
+trailing newline, where the output has one, is part of the hashed bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from kbonacci.cli import main
+from kbonacci.identities import SuiteGrid, run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,6 +39,17 @@ def test_verify_default_grid_golden(capsys, fmt):
     out = run(capsys, ["verify", "--format", fmt])
     kept = "".join(line for line in out.splitlines(keepends=True) if '"generated_at"' not in line)
     assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_DEFAULT_SHA256[fmt]
+
+
+# the dense grid reaches matrices of dimension 27 and 64, which the
+# default grid leaves out
+DENSE_GRID = SuiteGrid(max_k=4, max_r=3, dim_cap=64)
+VERIFY_DENSE_JSON_SHA256 = "94126a4ce3c0a64192b0848ce35a45d38acbe664a45ad7245ebd876c818ec6f3"
+
+
+def test_verify_dense_grid_golden():
+    text = run_suite(None, DENSE_GRID).to_json(include_timestamp=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DENSE_JSON_SHA256
 
 
 def readme_cli_examples() -> dict[str, list[str]]:

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from kbonacci.builders import build_base, build_higher, build_lucas, build_q, fast_f
 from kbonacci.matrix import (
     SquareMatrix,
     compose,
@@ -125,6 +126,42 @@ def test_construction_validation():
         SquareMatrix([[1, 2.5], [3, 4]])
     with pytest.raises(ValueError):
         SquareMatrix([[1, True], [3, 4]])
+    for bad in ("2.5", 2.5, True, None):
+        with pytest.raises(ValueError):
+            from_json_dict({"dim": 2, "entries": [["1", bad], ["3", "4"]]})
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2, "entries": [["1", "2"], ["3"]]})
+
+
+def assert_well_formed(m: SquareMatrix) -> None:
+    """m is what the checking constructor would make of its rows (tuples
+    compare unequal to lists), and every entry is an exact int."""
+    assert SquareMatrix(m.rows) == m
+    assert all(type(e) is int for row in m.rows for e in row)
+
+
+def test_trusted_results_are_well_formed():
+    rng = random.Random(SEED)
+    for _ in range(100):
+        k = rng.randint(1, 3)
+        inner = rng.randint(1, 3)
+        dim = k * inner
+        a, b = random_matrix(rng, dim), random_matrix(rng, dim)
+        results = [a + b, a - b, -a, a.scale(rng.randint(-9, 9)), a * b, a ** rng.randint(0, 5)]
+        results.append(compose([[random_matrix(rng, inner) for _ in range(k)] for _ in range(k)]))
+        results.extend(block for row in decompose(a, k) for block in row)
+        results += [identity(dim), zeros(dim)]
+        for m in results:
+            assert_well_formed(m)
+    for k in (2, 3, 4):
+        for r in (1, 2):
+            for j in (-3, 0, 1, 7):
+                assert_well_formed(build_higher(k, r, j))
+                assert_well_formed(build_base(k, j))
+            assert_well_formed(build_q(k, r))
+            assert_well_formed(fast_f(k, r, 5))
+    for r in (1, 2, 3):
+        assert_well_formed(build_lucas(r, -2))
 
 
 def test_dimension_mismatch_raises():
