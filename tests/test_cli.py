@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from kbonacci import builders, cli, matrix
+from kbonacci import builders, cli, matrix, sequences
 from kbonacci.cli import main
+from kbonacci.identities import jsonify
 
 
 def run_cli(capsys, *argv):
@@ -548,3 +549,76 @@ def test_term_at_one_million(capsys):
     digits = out.rstrip("\n")
     assert len(digits) == 208988 and digits.isdigit()
     assert digits.startswith("1953282128707757731632") and digits.endswith("68996526838242546875")
+
+
+# ---------------------------------------------------------------------------
+# JSON output byte for byte: every command's --format json text is pinned
+# to json.dumps(..., indent=2, sort_keys=True) of its payload, built here
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def json_out(capsys, *argv) -> str:
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("method", ["iter", "qpow"])
+@pytest.mark.parametrize("k, j", [(2, 10), (3, 200), (2, BIG_J)])
+def test_term_json_bytes(capsys, method, k, j):
+    value = sequences.term(k, j)
+    want = dumps(jsonify({"k": k, "j": j, "method": method, "value": value}))
+    assert json_out(capsys, "term", "--k", str(k), "--j", str(j), "--method", method) == want
+
+
+@pytest.mark.parametrize("k, lo, hi", [(2, -12, 12), (4, -30, -20), (3, 5, 5), (2, BIG_J - 1, BIG_J)])
+def test_seq_json_bytes(capsys, k, lo, hi):
+    values = [sequences.term(k, j) for j in range(lo, hi + 1)]
+    want = dumps(jsonify({"k": k, "j_lo": lo, "j_hi": hi, "values": values}))
+    assert json_out(capsys, "seq", "--k", str(k), "--from", str(lo), "--to", str(hi)) == want
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (("--family", "F", "--k", "3", "--r", "2", "--j", "-7"), lambda: builders.build_higher(3, 2, -7)),
+        (("--family", "F", "--k", "2", "--r", "1", "--j", str(BIG_J)), lambda: builders.build_higher(2, 1, BIG_J)),
+        (("--family", "L", "--r", "2", "--j", "9"), lambda: builders.build_lucas(2, 9)),
+        (("--family", "Q", "--k", "4", "--r", "2"), lambda: builders.build_q(4, 2)),
+    ],
+)
+def test_matrix_json_bytes(capsys, argv, build):
+    # the matrix command writes to_json_dict as it is: "dim" stays a number
+    assert json_out(capsys, "matrix", *argv) == dumps(matrix.to_json_dict(build()))
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_blocks_json_bytes(capsys, count):
+    blocks = [
+        {
+            "n": n,
+            "indices": list(sequences.backward_block(5, n).indices),
+            "values": list(sequences.backward_block(5, n).values),
+            "properties": sequences.block_properties(5, n).as_dict(),
+        }
+        for n in range(count)
+    ]
+    want = dumps(jsonify({"k": 5, "count": count, "blocks": blocks}))
+    assert json_out(capsys, "blocks", "--k", "5", "--count", str(count)) == want
+
+
+def test_verify_json_output_file_matches_stdout(capsys, tmp_path):
+    def without_timestamp(text):
+        return "".join(line for line in text.splitlines(keepends=True) if '"generated_at"' not in line)
+
+    argv = ("verify", "--suite", "geometric,square_diff,q_power", "--max-k", "3", "--max-n", "3")
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--output", str(target))
+    assert (code, out) == (0, "")
+    written = target.read_text(encoding="utf-8")
+    stdout = json_out(capsys, *argv)
+    assert '"generated_at"' in written and '"counterexample": {' in written
+    assert without_timestamp(written) == without_timestamp(stdout)
