@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import itertools
+import os
 import sys
+from dataclasses import asdict, astuple
 
 from . import bench as bench_mod
 from . import builders, matrix, sequences
-from .identities import SuiteGrid, jsonify, run_suite
+from .identities import SuiteGrid, json_chunks, run_suite
 
 
 # largest matrix dimension (k^r, or 2^r for family L) that `matrix` builds
@@ -84,26 +86,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(chunks, output: str | None) -> None:
+    """Write the chunks to output, or to stdout when it is None, as they
+    come.  A file the chunks fail to fill is removed."""
     if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(chunks, sys.stdout)
+        return
+    handle = open(output, "w", encoding="utf-8")
+    try:
+        with handle:
+            _write(chunks, handle)
+    except BaseException:
+        os.remove(output)
+        raise
 
 
-def _csv_text(header, rows) -> str:
+def _write(chunks, handle) -> None:
+    last = ""
+    for chunk in chunks:
+        handle.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        handle.write("\n")
+
+
+def _csv_chunks(header, rows):
+    """The header and then each row as CSV text, all cells quoted, one
+    chunk per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    for row in itertools.chain((header,), rows):
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
 def _cmd_term(args) -> int:
@@ -112,12 +128,12 @@ def _cmd_term(args) -> int:
     else:
         value = sequences.term(args.k, args.j)
     if args.format == "plain":
-        text = str(value)
+        chunks = [str(value)]
     elif args.format == "json":
-        text = _json_text(jsonify({"k": args.k, "j": args.j, "method": args.method, "value": value}))
+        chunks = json_chunks({"k": args.k, "j": args.j, "method": args.method, "value": value})
     else:
-        text = _csv_text(("k", "j", "method", "value"), [(args.k, args.j, args.method, value)])
-    _emit(text, args.output)
+        chunks = _csv_chunks(("k", "j", "method", "value"), [(args.k, args.j, args.method, value)])
+    _emit(chunks, args.output)
     return 0
 
 
@@ -128,14 +144,12 @@ def _cmd_seq(args) -> int:
         cells = [str(v) for v in values]
         jw = max(len(str(j)) for j in indices)
         vw = max(len(c) for c in cells)
-        text = "\n".join(f"{str(j).rjust(jw)}  {c.rjust(vw)}" for j, c in zip(indices, cells))
+        chunks = (f"{str(j).rjust(jw)}  {c.rjust(vw)}\n" for j, c in zip(indices, cells))
     elif args.format == "json":
-        text = _json_text(
-            jsonify({"k": args.k, "j_lo": args.j_lo, "j_hi": args.j_hi, "values": values})
-        )
+        chunks = json_chunks({"k": args.k, "j_lo": args.j_lo, "j_hi": args.j_hi, "values": values})
     else:
-        text = _csv_text(("j", "value"), list(zip(indices, values)))
-    _emit(text, args.output)
+        chunks = _csv_chunks(("j", "value"), zip(indices, values))
+    _emit(chunks, args.output)
     return 0
 
 
@@ -172,15 +186,13 @@ def _cmd_matrix(args) -> int:
         _check_matrix_dim(args.k, args.r)
         m = builders.build_higher(args.k, args.r, args.j)
     if args.format == "plain":
-        text = matrix.to_text(m)
+        chunks = [matrix.to_text(m)]
     elif args.format == "json":
-        text = _json_text(matrix.to_json_dict(m))
+        # "dim" has always been a JSON number here
+        chunks = json_chunks(matrix.to_json_dict(m), quote_ints=False)
     else:
-        text = _csv_text(
-            tuple(f"col_{i + 1}" for i in range(m.dim)),
-            [tuple(row) for row in m.rows],
-        )
-    _emit(text, args.output)
+        chunks = _csv_chunks(tuple(f"col_{i + 1}" for i in range(m.dim)), m.rows)
+    _emit(chunks, args.output)
     return 0
 
 
@@ -200,24 +212,17 @@ def _cmd_blocks(args) -> int:
             lines.append(f"block {block.index}  indices {hi}..{lo}  values: {values}")
             annotations = "  ".join(f"{name}={'yes' if ok else 'no'}" for name, ok in props.as_dict().items())
             lines.append(f"  {annotations}")
-        text = "\n".join(lines) if lines else "no blocks requested"
+        chunks = ["\n".join(lines) if lines else "no blocks requested"]
     elif args.format == "json":
-        text = _json_text(
-            jsonify(
-                {
-                    "k": args.k,
-                    "count": args.count,
-                    "blocks": [
-                        {
-                            "n": block.index,
-                            "indices": list(block.indices),
-                            "values": list(block.values),
-                            "properties": props.as_dict(),
-                        }
-                        for block, props in blocks
-                    ],
-                }
-            )
+        chunks = json_chunks(
+            {
+                "k": args.k,
+                "count": args.count,
+                "blocks": [
+                    {"n": block.index, "indices": block.indices, "values": block.values, "properties": props.as_dict()}
+                    for block, props in blocks
+                ],
+            }
         )
     else:
         prop_names = (
@@ -227,9 +232,32 @@ def _cmd_blocks(args) -> int:
             (block.index, " ".join(str(v) for v in block.values), *(props.as_dict()[p] for p in prop_names))
             for block, props in blocks
         ]
-        text = _csv_text(("n", "values", *prop_names), rows)
-    _emit(text, args.output)
+        chunks = _csv_chunks(("n", "values", *prop_names), rows)
+    _emit(chunks, args.output)
     return 0
+
+
+def _verify_plain(result):
+    """One line per case, then the status counts and the verdict."""
+    for case in result.cases:
+        params = " ".join(f"{key}={case.params[key]}" for key in sorted(case.params))
+        status = case.status
+        if status == "fails":
+            status = "fails (expected)" if case.reason is not None else "fails (UNEXPECTED)"
+        yield f"{case.checker:20} {status:20} {params}\n"
+    counts = result.status_counts()
+    yield (
+        "\ncases: {total}  holds: {holds}  holds-corrected: {corrected}  "
+        "fails: {fails} (unexpected: {unexpected})  skipped: {skipped}\n".format(
+            total=len(result.cases),
+            holds=counts["holds"],
+            corrected=counts["holds-corrected"],
+            fails=counts["fails"],
+            unexpected=len(result.unexpected_failures()),
+            skipped=counts["skipped"],
+        )
+    )
+    yield f"pass: {'yes' if result.passed else 'no'}\n"
 
 
 def _cmd_verify(args) -> int:
@@ -249,37 +277,13 @@ def _cmd_verify(args) -> int:
     selection = None if args.suite.strip() == "all" else [s.strip() for s in args.suite.split(",") if s.strip()]
     result = run_suite(selection, grid)
     if args.format == "plain":
-        lines = []
-        for case in result.cases:
-            params = " ".join(f"{key}={case.params[key]}" for key in sorted(case.params))
-            status = case.status
-            if status == "fails":
-                status = "fails (expected)" if case.reason is not None else "fails (UNEXPECTED)"
-            lines.append(f"{case.checker:20} {status:20} {params}")
-        counts = result.status_counts()
-        lines.append("")
-        lines.append(
-            "cases: {total}  holds: {holds}  holds-corrected: {corrected}  "
-            "fails: {fails} (unexpected: {unexpected})  skipped: {skipped}".format(
-                total=len(result.cases),
-                holds=counts["holds"],
-                corrected=counts["holds-corrected"],
-                fails=counts["fails"],
-                unexpected=len(result.unexpected_failures()),
-                skipped=counts["skipped"],
-            )
-        )
-        lines.append(f"pass: {'yes' if result.passed else 'no'}")
-        text = "\n".join(lines)
+        chunks = _verify_plain(result)
     elif args.format == "json":
-        text = result.to_json()
+        chunks = result.json_chunks()
     else:
-        rows = [
-            (case.checker, case.status, json.dumps(jsonify(case.params), sort_keys=True))
-            for case in result.cases
-        ]
-        text = _csv_text(("id", "status", "params"), rows)
-    _emit(text, args.output)
+        rows = ((c.checker, c.status, "".join(json_chunks(c.params, indent=None))) for c in result.cases)
+        chunks = _csv_chunks(("id", "status", "params"), rows)
+    _emit(chunks, args.output)
     return 0 if result.passed else 1
 
 
@@ -291,29 +295,14 @@ def _cmd_bench(args) -> int:
             f"{row.j:>10}  {row.iter_seconds:>14.6f}  {row.qpow_seconds:>14.6f}  {row.digits:>10}"
             for row in rows
         ]
-        text = "\n".join([header, *body])
+        chunks = ["\n".join([header, *body])]
     elif args.format == "json":
-        payload = {
-            "k": str(args.k),
-            "j_max": str(args.j_max),
-            "step": str(args.step if args.step is not None else args.j_max),
-            "rows": [
-                {
-                    "j": str(row.j),
-                    "iter_seconds": row.iter_seconds,
-                    "qpow_seconds": row.qpow_seconds,
-                    "digits": str(row.digits),
-                }
-                for row in rows
-            ],
-        }
-        text = _json_text(payload)
+        step = args.step if args.step is not None else args.j_max
+        payload = {"k": args.k, "j_max": args.j_max, "step": step, "rows": [asdict(row) for row in rows]}
+        chunks = json_chunks(payload)
     else:
-        text = _csv_text(
-            ("j", "iter_seconds", "qpow_seconds", "digits"),
-            [(row.j, row.iter_seconds, row.qpow_seconds, row.digits) for row in rows],
-        )
-    _emit(text, args.output)
+        chunks = _csv_chunks(("j", "iter_seconds", "qpow_seconds", "digits"), map(astuple, rows))
+    _emit(chunks, args.output)
     return 0
 
 
@@ -354,11 +343,11 @@ def _run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except bench_mod.BenchMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)

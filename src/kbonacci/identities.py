@@ -22,9 +22,11 @@ raises instead of reporting.
 from __future__ import annotations
 
 import functools
-import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from .builders import build_higher, build_lucas, fast_f
 from .expectations import expected_reason
@@ -533,41 +535,110 @@ class SuiteResult(_Verdict):
             counts[c.status] += 1
         return counts
 
-    def to_json_dict(self, include_timestamp: bool = True) -> dict:
-        data = {
-            "suite": self.suite,
-            "grid": jsonify(self.grid),
-            "cases": [
-                {
-                    "id": c.checker,
-                    "params": jsonify(c.params),
-                    "status": c.status,
-                    "counterexample": jsonify(c.counterexample),
-                }
-                for c in self.cases
-            ],
-            "pass": self.passed,
-        }
+    def _report(self, include_timestamp: bool) -> dict:
+        """The report's fields; the cases as a generator, one dict each."""
+        cases = (
+            {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample}
+            for c in self.cases
+        )
+        report = {"suite": self.suite, "grid": self.grid, "cases": cases, "pass": self.passed}
         if include_timestamp:
-            data["generated_at"] = self.generated_at
-        return data
+            report["generated_at"] = self.generated_at
+        return report
+
+    def to_json_dict(self, include_timestamp: bool = True) -> dict:
+        return jsonify(self._report(include_timestamp))
+
+    def json_chunks(self, include_timestamp: bool = True):
+        """The text of to_json in chunks, written case by case."""
+        return json_chunks(self._report(include_timestamp))
 
     def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timestamp), indent=2, sort_keys=True)
+        """The report as json.dumps(to_json_dict(...), indent=2,
+        sort_keys=True) writes it."""
+        return "".join(self.json_chunks(include_timestamp))
 
 
 def jsonify(value):
-    """Recursively turn integers into decimal strings; booleans, None and
-    strings pass through."""
+    """Recursively turn integers into decimal strings and tuples and
+    generators into lists; booleans, None and strings pass through."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return decimal_text(value)
     if isinstance(value, dict):
         return {key: jsonify(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, GeneratorType)):
         return [jsonify(v) for v in value]
     raise TypeError(f"cannot serialize {value!r}")
+
+
+def json_chunks(value, indent: int | None = 2, quote_ints: bool = True):
+    """Yield the text of json.dumps(jsonify(value), indent=indent,
+    sort_keys=True) in chunks, without building jsonify's copy.
+
+    jsonify's rules hold: ints become decimal strings, tuples become
+    lists, and None, booleans and strings pass through.  quote_ints=False
+    writes ints as JSON numbers instead.  Finite floats are written as
+    float.__repr__ writes them, and a generator as a list, one item at a
+    time.  Dictionary keys must be strings.
+    """
+    return _chunks(value, None if indent is None else "\n", " " * (indent or 0), quote_ints)
+
+
+def _scalar_json(value, quote_ints: bool) -> str | None:
+    """JSON text of a scalar, or None for anything else."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return f'"{decimal_text(value)}"' if quote_ints else decimal_text(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize {value!r}")
+        return float.__repr__(value)
+    return None
+
+
+def _chunks(value, newline: str | None, step: str, quote_ints: bool):
+    """json_chunks at the nesting level whose closing bracket follows
+    newline; newline None writes everything on one line."""
+    text = _scalar_json(value, quote_ints)
+    if text is not None:
+        yield text
+        return
+    if newline is None:
+        inner, first, sep, last = None, "", ", ", ""
+    else:
+        inner = newline + step
+        first, sep, last = inner, "," + inner, newline
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = ((_quote(key) + ": ", value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple, GeneratorType)):
+        brackets = "[]"
+        if not isinstance(value, GeneratorType) and set(map(type, value)) == {str}:
+            # a matrix row, in one piece
+            yield "[" + first + sep.join(map(_quote, value)) + last + "]"
+            return
+        items = (("", v) for v in value)
+    else:
+        raise TypeError(f"cannot serialize {value!r}")
+    opening = brackets[0] + first
+    for head, item in items:
+        text = _scalar_json(item, quote_ints)
+        if text is None:
+            yield opening + head
+            yield from _chunks(item, inner, step, quote_ints)
+        else:
+            yield opening + head + text
+        opening = sep
+    yield last + brackets[1] if opening == sep else brackets
 
 
 def _case_sort_key(c: CheckCase):

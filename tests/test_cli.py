@@ -622,3 +622,39 @@ def test_verify_json_output_file_matches_stdout(capsys, tmp_path):
     stdout = json_out(capsys, *argv)
     assert '"generated_at"' in written and '"counterexample": {' in written
     assert without_timestamp(written) == without_timestamp(stdout)
+
+
+# ---------------------------------------------------------------------------
+# out of memory and unwritable output: exit 2 with a message, no partial file
+
+
+def test_seq_out_of_memory_exits_2(capsys, monkeypatch, tmp_path):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sequences, "term_range", exhausted)
+    target = tmp_path / "seq.txt"
+    argv = ("seq", "--k", "2", "--from", "0", "--to", "100000000")
+    for extra in ((), ("--output", str(target))):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not target.exists()
+
+
+def test_output_failing_mid_stream_leaves_no_file(capsys, monkeypatch, tmp_path):
+    def half_written(*args, **kwargs):
+        yield "{\n"
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "json_chunks", half_written)
+    target = tmp_path / "term.json"
+    code, out, err = run_cli(capsys, "term", "--k", "2", "--j", "9", "--format", "json", "--output", str(target))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not target.exists()
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "term.txt"
+    code, out, err = run_cli(capsys, "term", "--k", "2", "--j", "9", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
