@@ -90,7 +90,13 @@ def _emit(chunks, output: str | None) -> None:
     """Write the chunks to output, or to stdout when it is None, as they
     come.  A file the chunks fail to fill is removed."""
     if output is None:
-        _write(chunks, sys.stdout)
+        try:
+            _write(chunks, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped reading, as `| head` does: end quietly,
+            # and keep the flush at exit from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     handle = open(output, "w", encoding="utf-8")
     try:

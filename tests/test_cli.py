@@ -653,6 +653,18 @@ def test_output_failing_mid_stream_leaves_no_file(capsys, monkeypatch, tmp_path)
     assert not target.exists()
 
 
+def test_reader_closing_the_pipe_ends_quietly():
+    # far more than a pipe buffer, so the writer is still writing when the
+    # reader goes away
+    argv = [sys.executable, "-m", "kbonacci", "seq", "--k", "2", "--from", "0", "--to", "3000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"   0")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "term.txt"
     code, out, err = run_cli(capsys, "term", "--k", "2", "--j", "9", "--output", str(target))
