@@ -3,14 +3,17 @@
 The order-k base matrix places sequence terms on anti-diagonals: entry
 (row, col), 1-based, holds term(j + k - row - col + 1).  Higher levels
 repeat the same layout with order-k^(r-1) blocks in place of scalars, so
-the level-r matrix has dimension k^r.  The companion matrix advances the
-family by one index step per right-multiplication; it is built from
-identity and zero blocks the same way, so Q_r = Q_1 (x) I, the Kronecker
-product with the identity of dimension k^(r-1).  fast_f powers the k-by-k
-companion matrix, lifts the result blockwise and serves as the oracle for
-the matrix laws.  fast_term evaluates single terms from x^j mod P_k(x)
-instead, which costs O(k^2 log j) big-integer products against
-O(k^3 log j) for the companion power.
+the level-r matrix has dimension k^r and entry (R, C), 0-based, holds
+term(j + r(k-1) - ds(R) - ds(C)), ds the base-k digit sum of the
+position; the F and Lucas families are built from that formula.  The
+companion matrix advances the family by one index step per
+right-multiplication; it is built from identity and zero blocks the same
+way, so Q_r = Q_1 (x) I, the Kronecker product with the identity of
+dimension k^(r-1).  fast_f powers the k-by-k companion matrix, lifts the
+result blockwise and serves as the oracle for the matrix laws.  fast_term
+evaluates single terms from x^j mod P_k(x) instead, which costs
+O(k^2 log j) big-integer products against O(k^3 log j) for the companion
+power.
 
 Every matrix built here is wrapped unchecked (SquareMatrix._of): its
 entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
@@ -18,7 +21,7 @@ entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from .matrix import SquareMatrix, compose, identity, zeros
@@ -30,16 +33,27 @@ def _validate_level(r) -> None:
         raise ValueError(f"level must be an integer >= 1, got {r!r}")
 
 
+def _layout(value, k: int, r: int, j: int) -> SquareMatrix:
+    """Level-r member at index j of the order-k family over the terms
+    value(i): entry (R, C), 0-based, holds value(j + r(k-1) - ds(R) - ds(C)),
+    where ds is the base-k digit sum.
+
+    So the member reads only the 2r(k-1) + 1 terms around j, and rows
+    with equal digit sum are one tuple.
+    """
+    ds = [0]
+    for _ in range(r):
+        ds = [a + d for a in range(k) for d in ds]
+    top = r * (k - 1)
+    terms = [value(j + top - t) for t in range(2 * top + 1)]
+    rows = [tuple(terms[t + d] for d in ds) for t in range(top + 1)]
+    return SquareMatrix._of(tuple(rows[d] for d in ds))
+
+
 @lru_cache(maxsize=None)
 def build_base(k: int, j: int) -> SquareMatrix:
     """Order-k matrix of sequence terms anchored at index j."""
-    _validate_order(k)
-    return SquareMatrix._of(
-        tuple(
-            tuple(term(k, j + k - row - col + 1) for col in range(1, k + 1))
-            for row in range(1, k + 1)
-        )
-    )
+    return build_higher(k, 1, j)
 
 
 @lru_cache(maxsize=None)
@@ -47,31 +61,14 @@ def build_higher(k: int, r: int, j: int) -> SquareMatrix:
     """Level-r family member at index j; dimension k^r."""
     _validate_order(k)
     _validate_level(r)
-    if r == 1:
-        return build_base(k, j)
-    grid = [
-        [build_higher(k, r - 1, j + k - row - col + 1) for col in range(1, k + 1)]
-        for row in range(1, k + 1)
-    ]
-    return compose(grid)
+    return _layout(partial(term, k), k, r, j)
 
 
 @lru_cache(maxsize=None)
 def build_lucas(r: int, j: int) -> SquareMatrix:
     """Level-r Lucas family member at index j; dimension 2^r."""
     _validate_level(r)
-    if r == 1:
-        return SquareMatrix._of(
-            tuple(
-                tuple(lucas_term(j + 2 - row - col + 1) for col in (1, 2))
-                for row in (1, 2)
-            )
-        )
-    grid = [
-        [build_lucas(r - 1, j + 2 - row - col + 1) for col in (1, 2)]
-        for row in (1, 2)
-    ]
-    return compose(grid)
+    return _layout(lucas_term, 2, r, j)
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,14 @@ import argparse
 import csv
 import io
 import itertools
+import json
 import os
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 
 from . import bench as bench_mod
 from . import builders, matrix, sequences
-from .identities import SuiteGrid, json_chunks, run_suite
+from .identities import SuiteGrid, json_chunks, jsonify, run_suite
 
 
 # largest matrix dimension (k^r, or 2^r for family L) that `matrix` builds
@@ -205,11 +206,11 @@ def _cmd_matrix(args) -> int:
 def _cmd_blocks(args) -> int:
     if args.count < 0:
         raise _UsageError("--count must be >= 0")
+    sequences._validate_order(args.k)
     blocks = []
     for n in range(args.count):
         block = sequences.backward_block(args.k, n)
-        props = sequences.block_properties(args.k, n)
-        blocks.append((block, props))
+        blocks.append((block, sequences._properties_of(block)))
     if args.format == "plain":
         lines = []
         for block, props in blocks:
@@ -231,13 +232,8 @@ def _cmd_blocks(args) -> int:
             }
         )
     else:
-        prop_names = (
-            list(blocks[0][1].as_dict()) if blocks else list(sequences.block_properties(args.k, 0).as_dict())
-        )
-        rows = [
-            (block.index, " ".join(str(v) for v in block.values), *(props.as_dict()[p] for p in prop_names))
-            for block, props in blocks
-        ]
+        prop_names = (f.name for f in fields(sequences.BlockProperties))
+        rows = ((block.index, " ".join(str(v) for v in block.values), *astuple(props)) for block, props in blocks)
         chunks = _csv_chunks(("n", "values", *prop_names), rows)
     _emit(chunks, args.output)
     return 0
@@ -287,7 +283,7 @@ def _cmd_verify(args) -> int:
     elif args.format == "json":
         chunks = result.json_chunks()
     else:
-        rows = ((c.checker, c.status, "".join(json_chunks(c.params, indent=None))) for c in result.cases)
+        rows = ((c.checker, c.status, json.dumps(jsonify(c.params), sort_keys=True)) for c in result.cases)
         chunks = _csv_chunks(("id", "status", "params"), rows)
     _emit(chunks, args.output)
     return 0 if result.passed else 1

@@ -573,8 +573,8 @@ def jsonify(value):
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def json_chunks(value, indent: int | None = 2, quote_ints: bool = True):
-    """Yield the text of json.dumps(jsonify(value), indent=indent,
+def json_chunks(value, quote_ints: bool = True):
+    """Yield the text of json.dumps(jsonify(value), indent=2,
     sort_keys=True) in chunks, without building jsonify's copy.
 
     jsonify's rules hold: ints become decimal strings, tuples become
@@ -583,7 +583,7 @@ def json_chunks(value, indent: int | None = 2, quote_ints: bool = True):
     float.__repr__ writes them, and a generator as a list, one item at a
     time.  Dictionary keys must be strings.
     """
-    return _chunks(value, None if indent is None else "\n", " " * (indent or 0), quote_ints)
+    return _chunks(value, "\n", quote_ints)
 
 
 def _scalar_json(value, quote_ints: bool) -> str | None:
@@ -605,18 +605,15 @@ def _scalar_json(value, quote_ints: bool) -> str | None:
     return None
 
 
-def _chunks(value, newline: str | None, step: str, quote_ints: bool):
+def _chunks(value, newline: str, quote_ints: bool):
     """json_chunks at the nesting level whose closing bracket follows
-    newline; newline None writes everything on one line."""
+    newline."""
     text = _scalar_json(value, quote_ints)
     if text is not None:
         yield text
         return
-    if newline is None:
-        inner, first, sep, last = None, "", ", ", ""
-    else:
-        inner = newline + step
-        first, sep, last = inner, "," + inner, newline
+    inner = newline + "  "
+    sep = "," + inner
     if isinstance(value, dict):
         brackets = "{}"
         items = ((_quote(key) + ": ", value[key]) for key in sorted(value))
@@ -624,21 +621,21 @@ def _chunks(value, newline: str | None, step: str, quote_ints: bool):
         brackets = "[]"
         if not isinstance(value, GeneratorType) and set(map(type, value)) == {str}:
             # a matrix row, in one piece
-            yield "[" + first + sep.join(map(_quote, value)) + last + "]"
+            yield "[" + inner + sep.join(map(_quote, value)) + newline + "]"
             return
         items = (("", v) for v in value)
     else:
         raise TypeError(f"cannot serialize {value!r}")
-    opening = brackets[0] + first
+    opening = brackets[0] + inner
     for head, item in items:
         text = _scalar_json(item, quote_ints)
         if text is None:
             yield opening + head
-            yield from _chunks(item, inner, step, quote_ints)
+            yield from _chunks(item, inner, quote_ints)
         else:
             yield opening + head + text
         opening = sep
-    yield last + brackets[1] if opening == sep else brackets
+    yield newline + brackets[1] if opening == sep else brackets
 
 
 def _case_sort_key(c: CheckCase):

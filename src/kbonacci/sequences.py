@@ -5,21 +5,23 @@ terms follow the order-k sum recurrence, and earlier terms come from
 running the same recurrence in reverse, so there is a single two-sided
 sequence with no seam at zero.
 
-Indices within WINDOW_CAP of zero are served from a window that grows on
-demand.  Beyond it each side keeps a short frame of consecutive terms that
-moves one index per step by the double-shift law s(n+1) = 2 s(n) - s(n-k);
-a read far from the frame and from the window starts a new frame from
-x^j mod P_k(x), where P_k(x) = x^k - x^(k-1) - ... - 1 is the recurrence's
-characteristic polynomial (C. M. Fiduccia, "An efficient formula for
-linear recurrences", SIAM J. Comput. 14(1), 1985).  Memory therefore stays
-bounded whatever the index, and runs of nearby reads cost a step each.
+Every term is read from a frame of consecutive terms that moves one index
+per step by the double-shift law s(n+1) = 2 s(n) - s(n-k).  Indices within
+WINDOW_CAP of zero come from the window, a frame with no size limit that
+grows on demand.  Beyond it each side keeps a frame of at most
+FRAME_TERMS * (k + 1) terms; a read far from that frame and from the
+window starts a new frame from x^j mod P_k(x), where P_k(x) = x^k -
+x^(k-1) - ... - 1 is the recurrence's characteristic polynomial (C. M.
+Fiduccia, "An efficient formula for linear recurrences", SIAM J. Comput.
+14(1), 1985).  Memory therefore stays bounded whatever the index, and
+runs of nearby reads cost a step each.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # Largest |j| served from the window.  The window holds every term up to
 # its edge, so its size grows with the square of the index.
@@ -108,21 +110,25 @@ def x_power_mod(k: int, j: int) -> list[int]:
 
 
 class _Frame:
-    """Consecutive terms s(lo), s(lo + 1), ... of one sequence: at least
-    k + 1 of them and at most FRAME_TERMS * (k + 1).
+    """Consecutive terms s(lo), ..., s(hi) of one sequence, at least k + 1
+    of them and at most maxlen (no limit when maxlen is None).
 
     Reading an index outside them steps the nearer end outward by the
     double-shift law s(n+1) = 2 s(n) - s(n-k), two additions per index,
     and drops terms from the other end once the frame is full.
     """
 
-    def __init__(self, lo: int, values: list[int]) -> None:
+    def __init__(self, lo: int, values: list[int], maxlen: int | None) -> None:
         self.lo = lo
         self.k = len(values) - 1
-        self.values = deque(values, maxlen=FRAME_TERMS * len(values))
+        self.values = deque(values, maxlen=maxlen)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.values) - 1
 
     def distance(self, j: int) -> int:
-        return max(self.lo - j, j - (self.lo + len(self.values) - 1), 0)
+        return max(self.lo - j, j - self.hi, 0)
 
     def get(self, j: int) -> int:
         v, k = self.values, self.k
@@ -139,21 +145,20 @@ class _Frame:
 class KbonacciSequence:
     """Order-k sequence seeded 0, ..., 0, 1 on indices 0..k-1.
 
-    Stores term(j) for |j| <= WINDOW_CAP in a contiguous window that grows
-    on demand in both directions; a term beyond the cap comes from the
-    frame on its side, so the window never grows past the cap (term_range
-    may take it k further).  All access goes through a lock so concurrent
-    readers stay consistent.
+    Every term comes from a _Frame.  term(j) for |j| <= WINDOW_CAP comes
+    from the window, a frame with no size limit that grows on demand in
+    both directions; a term beyond the cap comes from the bounded frame on
+    its side, so the window never grows past the cap (term_range may take
+    it k further).  All access goes through a lock so concurrent readers
+    stay consistent.
     """
 
     def __init__(self, k: int) -> None:
         _validate_order(k)
         self._k = k
         self._seeds = self._seed_values(k)
-        # _pos[j] = term(j) for j >= 0; k + 1 terms so the double-shift
-        # law applies from the start
-        self._pos = [*self._seeds, sum(self._seeds)]
-        self._neg: list[int] = []  # _neg[i] = term(-1 - i)
+        # k + 1 terms from index 0, so the double-shift law applies from the start
+        self._window = _Frame(0, [*self._seeds, sum(self._seeds)], maxlen=None)
         self._frames: dict[int, _Frame] = {}  # by side of the window, 1 or -1
         self._lock = threading.Lock()
 
@@ -165,18 +170,11 @@ class KbonacciSequence:
     def order(self) -> int:
         return self._k
 
-    def _cached(self, j: int) -> int:
-        return self._pos[j] if j >= 0 else self._neg[-1 - j]
-
-    def _fill(self, j: int) -> None:
-        """Grow the window to hold index j."""
-        k, pos, neg = self._k, self._pos, self._neg
-        while j >= len(pos):
-            pos.append(2 * pos[-1] - pos[-1 - k])
-        while -1 - j >= len(neg):
-            # s(m) = 2 s(m + k) - s(m + k + 1)
-            m = -1 - len(neg)
-            neg.append(2 * self._cached(m + k) - self._cached(m + k + 1))
+    def _store(self, j: int) -> _Frame:
+        """The frame that serves index j."""
+        if -WINDOW_CAP <= j <= WINDOW_CAP:
+            return self._window
+        return self._frame_near(j)
 
     def _frame_near(self, j: int) -> _Frame:
         """The frame on j's side of the window, |j| > WINDOW_CAP.
@@ -185,24 +183,22 @@ class KbonacciSequence:
         steps; otherwise it starts again at the window's edge if j is that
         close to it, else at j from x^j mod P_k.
         """
-        k = self._k
+        k, window = self._k, self._window
         side = 1 if j > 0 else -1
+        limit = _step_limit(k, j)
         frame = self._frames.get(side)
-        if frame is None or frame.distance(j) > _step_limit(k, j):
-            held = len(self._pos) - 1 if side > 0 else len(self._neg)
-            if abs(j) - held <= _step_limit(k, j):
+        if frame is None or frame.distance(j) > limit:
+            if window.distance(j) <= limit:
                 # the k + 1 outermost terms of the window, filled to the cap
-                self._fill(side * WINDOW_CAP)
-                lo = len(self._pos) - 1 - k if side > 0 else -len(self._neg)
-                frame = _Frame(lo, [self._cached(i) for i in range(lo, lo + k + 1)])
+                window.get(side * WINDOW_CAP)
+                lo = window.hi - k if side > 0 else window.lo
+                values = [window.get(i) for i in range(lo, lo + k + 1)]
             else:
-                coeffs = x_power_mod(k, j)
-                values = []
+                lo, coeffs, values = j, x_power_mod(k, j), []
                 for _ in range(k + 1):
                     values.append(self._from_seeds(coeffs))
                     coeffs = _times_x(coeffs)
-                frame = _Frame(j, values)
-            self._frames[side] = frame
+            frame = self._frames[side] = _Frame(lo, values, maxlen=FRAME_TERMS * (k + 1))
         return frame
 
     def _from_seeds(self, coeffs: list[int]) -> int:
@@ -210,30 +206,15 @@ class KbonacciSequence:
 
     def term(self, j: int) -> int:
         with self._lock:
-            if -len(self._neg) <= j < len(self._pos):
-                return self._cached(j)
-            if -WINDOW_CAP <= j <= WINDOW_CAP:
-                self._fill(j)
-                return self._cached(j)
-            frame = self._frames.get(1 if j > 0 else -1)
-            if frame is not None and 0 <= j - frame.lo < len(frame.values):
-                return frame.values[j - frame.lo]
-            return self._frame_near(j).get(j)
+            return self._store(j).get(j)
 
     def term_range(self, j_lo: int, j_hi: int) -> list[int]:
         if j_lo > j_hi:
             raise ValueError(f"empty range: {j_lo} > {j_hi}")
         k = self._k
         with self._lock:
-            if -WINDOW_CAP <= j_lo <= WINDOW_CAP:
-                # at least k + 1 terms, for the steps past the cap below
-                top = min(j_hi, max(WINDOW_CAP, j_lo + k))
-                self._fill(j_lo)
-                self._fill(top)
-                values = [self._cached(j) for j in range(j_lo, top + 1)]
-            else:
-                frame = self._frame_near(j_lo)
-                values = [frame.get(j) for j in range(j_lo, min(j_hi, j_lo + k) + 1)]
+            store = self._store(j_lo)
+            values = [store.get(j) for j in range(j_lo, min(j_hi, j_lo + k) + 1)]
         while len(values) < j_hi - j_lo + 1:
             values.append(2 * values[-1] - values[-1 - k])
         return values
@@ -328,15 +309,7 @@ class BlockProperties:
     interior_even: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "alternating_signs": self.alternating_signs,
-            "zero_sum": self.zero_sum,
-            "leading_matches_forward": self.leading_matches_forward,
-            "leading_is_power_of_two": self.leading_is_power_of_two,
-            "last_nonzero_unit": self.last_nonzero_unit,
-            "second_last_odd": self.second_last_odd,
-            "interior_even": self.interior_even,
-        }
+        return asdict(self)
 
 
 def backward_block(k: int, n: int) -> BackwardBlock:
@@ -351,8 +324,11 @@ def backward_block(k: int, n: int) -> BackwardBlock:
 
 def block_properties(k: int, n: int) -> BlockProperties:
     """Evaluate the structural properties of backward block n."""
-    block = backward_block(k, n)
-    values = block.values
+    return _properties_of(backward_block(k, n))
+
+
+def _properties_of(block: BackwardBlock) -> BlockProperties:
+    k, n, values = block.order, block.index, block.values
     nonzero = [v for v in values if v != 0]
     alternating = bool(nonzero) and nonzero[0] > 0
     for a, b in zip(nonzero, nonzero[1:]):

@@ -279,6 +279,28 @@ def test_blocks_negative_count_exits_2(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_blocks_bad_order_exits_2_even_without_blocks(capsys, fmt):
+    code, out, err = run_cli(capsys, "blocks", "--k", "1", "--count", "0", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order must be")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("count", [0, 5])
+def test_blocks_builds_each_block_once(capsys, monkeypatch, fmt, count):
+    built = []
+    backward_block = sequences.backward_block
+
+    def spy(k, n):
+        built.append(n)
+        return backward_block(k, n)
+
+    monkeypatch.setattr(sequences, "backward_block", spy)
+    code, _, _ = run_cli(capsys, "blocks", "--k", "3", "--count", str(count), "--format", fmt)
+    assert (code, built) == (0, list(range(count)))
+
+
 # ---------------------------------------------------------------------------
 # verify
 

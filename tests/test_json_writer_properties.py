@@ -51,12 +51,6 @@ def test_writer_matches_json_dumps_of_jsonify(value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(values(SCALARS))
-def test_one_line_writer_matches_json_dumps_of_jsonify(value):
-    assert written(value, indent=None) == json.dumps(jsonify(value), sort_keys=True)
-
-
-@settings(max_examples=100, deadline=None)
 @given(values(st.integers(-(10**300), 10**300) | st.booleans() | st.none() | TEXT))
 def test_bare_ints_match_json_dumps(value):
     assert written(value, quote_ints=False) == json.dumps(value, indent=2, sort_keys=True)
@@ -79,7 +73,6 @@ def test_empty_containers_at_every_depth(empty):
     for depth in range(6):
         value = {"a": value, "b": [value, empty]} if depth % 2 else [value, {"x": empty}]
         assert written(value) == json.dumps(jsonify(value), indent=2, sort_keys=True)
-        assert written(value, indent=None) == json.dumps(jsonify(value), sort_keys=True)
 
 
 def test_generator_is_written_as_a_list():

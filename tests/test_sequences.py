@@ -363,8 +363,8 @@ def test_window_stays_bounded_beyond_the_cap():
         seq.term_range(far, far + 3)
         seq.term_range(-far, far)
         seq.term_range(WINDOW_CAP - 3, far)
-        assert len(seq._pos) - 1 <= WINDOW_CAP + k, k
-        assert len(seq._neg) <= WINDOW_CAP, k
+        assert seq._window.hi <= WINDOW_CAP + k, k
+        assert seq._window.lo >= -WINDOW_CAP, k
         for frame in seq._frames.values():
             assert k + 1 <= len(frame.values) <= FRAME_TERMS * (k + 1), k
 
@@ -375,7 +375,7 @@ def test_reads_beyond_the_cap_step_when_that_is_cheaper(monkeypatch):
     seq = KbonacciSequence(2)
     j = 10**5
     assert seq.term(j) == fast_term(2, j)
-    assert len(seq._pos) == 3 and not seq._neg
+    assert seq._window.lo == 0 and list(seq._window.values) == [0, 1, 1]
 
     def refuse(*args):
         raise AssertionError("a nearby read must step, not start afresh")
@@ -390,7 +390,7 @@ def test_reads_beyond_the_cap_step_when_that_is_cheaper(monkeypatch):
     big = KbonacciSequence(k)
     assert big.term(past) == iterative_term(k, past)
     assert big.term(-past) == oracle_values(k, -past, k - 1)[-past]
-    assert len(big._pos) - 1 <= WINDOW_CAP + k and len(big._neg) == WINDOW_CAP
+    assert big._window.hi <= WINDOW_CAP + k and big._window.lo == -WINDOW_CAP
 
 
 def test_term_range_far_from_zero_is_bounded():
