@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .builders import fast_term
+from .matrix import decimal_text
 from .sequences import _validate_order
 
 
@@ -36,15 +37,8 @@ class BenchRow:
 
 
 def dec_digits(n: int) -> int:
-    """Exact decimal digit count without string conversion."""
-    n = abs(n)
-    if n == 0:
-        return 1
-    # 30102/100000 < log10(2): start from a guaranteed lower bound
-    d = max(1, (n.bit_length() - 1) * 30102 // 100000)
-    while 10**d <= n:
-        d += 1
-    return d
+    """Decimal digit count of n, sign excluded."""
+    return len(decimal_text(abs(n)))
 
 
 def iterative_term(k: int, j: int) -> int:

@@ -28,6 +28,10 @@ from .matrix import SquareMatrix, compose, identity, zeros
 from .sequences import _validate_order, lucas_term, term, x_power_mod
 
 
+# members kept per builder, above the 539 F and 106 Lucas members the suite grids build
+CACHE_SIZE = 1024
+
+
 def _validate_level(r) -> None:
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"level must be an integer >= 1, got {r!r}")
@@ -50,13 +54,13 @@ def _layout(value, k: int, r: int, j: int) -> SquareMatrix:
     return SquareMatrix._of(tuple(rows[d] for d in ds))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_base(k: int, j: int) -> SquareMatrix:
     """Order-k matrix of sequence terms anchored at index j."""
     return build_higher(k, 1, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_higher(k: int, r: int, j: int) -> SquareMatrix:
     """Level-r family member at index j; dimension k^r."""
     _validate_order(k)
@@ -64,7 +68,7 @@ def build_higher(k: int, r: int, j: int) -> SquareMatrix:
     return _layout(partial(term, k), k, r, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_lucas(r: int, j: int) -> SquareMatrix:
     """Level-r Lucas family member at index j; dimension 2^r."""
     _validate_level(r)

@@ -119,11 +119,11 @@ def _write(chunks, handle) -> None:
 
 def _csv_chunks(header, rows):
     """The header and then each row as CSV text, all cells quoted, one
-    chunk per row."""
+    chunk per row; int cells are written by matrix.decimal_text."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
     for row in itertools.chain((header,), rows):
-        writer.writerow(row)
+        writer.writerow([matrix.decimal_text(c) if type(c) is int else c for c in row])
         yield buf.getvalue()
         buf.seek(0)
         buf.truncate()
@@ -135,7 +135,7 @@ def _cmd_term(args) -> int:
     else:
         value = sequences.term(args.k, args.j)
     if args.format == "plain":
-        chunks = [str(value)]
+        chunks = [matrix.decimal_text(value)]
     elif args.format == "json":
         chunks = json_chunks({"k": args.k, "j": args.j, "method": args.method, "value": value})
     else:
@@ -148,10 +148,10 @@ def _cmd_seq(args) -> int:
     values = sequences.term_range(args.k, args.j_lo, args.j_hi)
     indices = range(args.j_lo, args.j_hi + 1)
     if args.format == "plain":
-        cells = [str(v) for v in values]
-        jw = max(len(str(j)) for j in indices)
+        cells = [matrix.decimal_text(v) for v in values]
+        jw = max(len(matrix.decimal_text(j)) for j in indices)
         vw = max(len(c) for c in cells)
-        chunks = (f"{str(j).rjust(jw)}  {c.rjust(vw)}\n" for j, c in zip(indices, cells))
+        chunks = (f"{matrix.decimal_text(j).rjust(jw)}  {c.rjust(vw)}\n" for j, c in zip(indices, cells))
     elif args.format == "json":
         chunks = json_chunks({"k": args.k, "j_lo": args.j_lo, "j_hi": args.j_hi, "values": values})
     else:
@@ -215,7 +215,7 @@ def _cmd_blocks(args) -> int:
         lines = []
         for block, props in blocks:
             lo, hi = block.indices[-1], block.indices[0]
-            values = " ".join(str(v) for v in block.values)
+            values = " ".join(map(matrix.decimal_text, block.values))
             lines.append(f"block {block.index}  indices {hi}..{lo}  values: {values}")
             annotations = "  ".join(f"{name}={'yes' if ok else 'no'}" for name, ok in props.as_dict().items())
             lines.append(f"  {annotations}")
@@ -233,7 +233,7 @@ def _cmd_blocks(args) -> int:
         )
     else:
         prop_names = (f.name for f in fields(sequences.BlockProperties))
-        rows = ((block.index, " ".join(str(v) for v in block.values), *astuple(props)) for block, props in blocks)
+        rows = ((block.index, " ".join(map(matrix.decimal_text, block.values)), *astuple(props)) for block, props in blocks)
         chunks = _csv_chunks(("n", "values", *prop_names), rows)
     _emit(chunks, args.output)
     return 0
@@ -319,22 +319,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    # Terms outgrow the 4,300-digit int-to-text limit of Python 3.11 and
-    # later (and of patched 3.10 releases); lift it for this call only.
-    # matrix.decimal_text converts them without the lift, but more slowly:
-    # 0.84 s against 0.73 s for the 208,988 digits of term(2, 10**6)
-    # (median of five, 2-vCPU VM, Python 3.11.7).
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -70,7 +70,8 @@ class SquareMatrix:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"SquareMatrix({[list(r) for r in self._rows]})"
+        rows = ", ".join(f"[{', '.join(map(decimal_text, row))}]" for row in self._rows)
+        return f"SquareMatrix([{rows}])"
 
     def _check_dim(self, other: "SquareMatrix") -> None:
         if self.dim != other.dim:
@@ -194,36 +195,59 @@ def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
     return grid
 
 
+# up to LEAF_DIGITS digits, under 640 (the lowest digit limit Python
+# allows), integers go through plain str and int; longer ones are halved
+LEAF_DIGITS = 600
+_HIGH = 10**LEAF_DIGITS
+_LOW = -_HIGH
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def decimal_text(n: int) -> str:
-    """str(n) for an integer of any size.
-
-    Python 3.11 and later (and patched 3.10 releases) refuse str() of an
-    int over 4,300 digits; decimal converts without that limit, and the
-    limit itself is left alone because it is process-wide.
-    """
-    try:
+    """str(n) for an integer of any size, whatever the interpreter's digit
+    limit: n = hi * 2**half + lo converts half by half in exact decimal
+    arithmetic, whose large products libmpdec computes by NTT."""
+    if _LOW < n < _HIGH:
         return str(n)
-    except ValueError:
-        from decimal import Decimal
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
-        return str(Decimal(n))
+    powers = {}
+
+    def convert(n: int, width: int) -> Decimal:
+        """Decimal(n) for 0 <= n < 2**width."""
+        if n < _HIGH:
+            return Decimal(n)
+        half = width >> 1
+        if half not in powers:
+            powers[half] = Decimal(2) ** half
+        hi = n >> half
+        return convert(hi, width - half) * powers[half] + convert(n - (hi << half), half)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def parse_integer(text) -> int:
-    """int(text) for a decimal integer string of any size; an int passes
-    through, and anything else (a float, a bool) is rejected."""
+    """The integer that text, ASCII [+-]?[0-9]+ of any length, spells: the
+    digits split as hi * 10**h + lo, the mirror of decimal_text.  An int
+    passes through; anything else (a float, a bool, other text) is rejected."""
     if _is_int(text):
         return int(text)
-    if not isinstance(text, str):
-        raise ValueError(f"entries must be integers or decimal strings, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
-            raise
-        from decimal import Decimal
+    if not isinstance(text, str) or not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer or a decimal string, got {text!r}")
+    powers = {}
 
-        return int(Decimal(text))
+    def convert(digits: str) -> int:
+        if len(digits) <= LEAF_DIGITS:
+            return int(digits)
+        h = len(digits) >> 1
+        if h not in powers:
+            powers[h] = 10**h
+        return convert(digits[:-h]) * powers[h] + convert(digits[-h:])
+
+    n = convert(text.lstrip("+-"))
+    return -n if text[0] == "-" else n
 
 
 def to_json_dict(m: SquareMatrix) -> dict:
@@ -235,14 +259,8 @@ def from_json_dict(data) -> SquareMatrix:
     """Parse the JSON form back into a matrix."""
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValueError("matrix JSON must carry 'dim' and 'entries'")
-    dim = data["dim"]
-    if isinstance(dim, str):
-        dim = int(dim)
-    entries = data["entries"]
-    rows = []
-    for row in entries:
-        rows.append(tuple(parse_integer(e) for e in row))
-    m = SquareMatrix(tuple(rows))
+    dim = parse_integer(data["dim"])
+    m = SquareMatrix(tuple(map(parse_integer, row)) for row in data["entries"])
     if m.dim != dim:
         raise ValueError(f"declared dim {dim} does not match {m.dim} rows")
     return m

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from kbonacci.bench import iterative_term
-from kbonacci.builders import build_base, build_higher, build_lucas, build_q, fast_f, fast_term
+from kbonacci.builders import CACHE_SIZE, build_base, build_higher, build_lucas, build_q, fast_f, fast_term
 from kbonacci.matrix import SquareMatrix, decompose, identity, zeros
 from kbonacci.sequences import WINDOW_CAP, KbonacciSequence, lucas_term, term
 
@@ -221,3 +221,15 @@ def test_builder_validation():
         build_lucas(0, 1)
     with pytest.raises(ValueError):
         build_q(2, 0)
+
+
+@pytest.mark.parametrize(
+    "builder, args",
+    [(build_base, (2,)), (build_higher, (2, 1)), (build_lucas, (1,))],
+    ids=["build_base", "build_higher", "build_lucas"],
+)
+def test_builder_cache_is_bounded(builder, args):
+    assert builder.cache_info().maxsize == CACHE_SIZE
+    for j in range(-5, CACHE_SIZE + 5):
+        builder(*args, j)
+    assert builder.cache_info().currsize <= CACHE_SIZE

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -562,6 +563,45 @@ def test_matrix_beyond_digit_limit(capsys, big_fibonacci):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     assert parse_csv(out) == [["col_1", "col_2"], *rows]
+
+
+def read_output(fmt: str, out: str):
+    if fmt == "plain":
+        return [line.split() for line in out.splitlines()]
+    return json.loads(out) if fmt == "json" else parse_csv(out)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("command", ["term", "seq", "matrix"])
+def test_output_does_not_depend_on_the_digit_limit(big_fibonacci, command, fmt):
+    """At the lowest digit limit Python allows, a fresh interpreter prints
+    the digits str() prints with the limit lifted."""
+    before, at, after = big_fibonacci
+    j, j_lo = str(BIG_J), str(BIG_J - 1)
+    rows = [[after, at], [at, before]]
+    argv, want = {
+        "term": (
+            ("term", "--k", "2", "--j", j),
+            {"plain": [[at]], "json": {"k": "2", "j": j, "method": "iter", "value": at},
+             "csv": [["k", "j", "method", "value"], ["2", j, "iter", at]]},
+        ),
+        "seq": (
+            ("seq", "--k", "2", "--from", j_lo, "--to", j),
+            {"plain": [[j_lo, before], [j, at]], "json": {"k": "2", "j_lo": j_lo, "j_hi": j, "values": [before, at]},
+             "csv": [["j", "value"], [j_lo, before], [j, at]]},
+        ),
+        "matrix": (
+            ("matrix", "--family", "F", "--k", "2", "--r", "1", "--j", j),
+            {"plain": rows, "json": {"dim": 2, "entries": rows}, "csv": [["col_1", "col_2"], *rows]},
+        ),
+    }[command]
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kbonacci", *argv, "--format", fmt], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read_output(fmt, proc.stdout) == want[fmt]
 
 
 def test_term_at_one_million(capsys):

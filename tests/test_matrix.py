@@ -131,6 +131,10 @@ def test_construction_validation():
             from_json_dict({"dim": 2, "entries": [["1", bad], ["3", "4"]]})
     with pytest.raises(ValueError):
         from_json_dict({"dim": 2, "entries": [["1", "2"], ["3"]]})
+    for bad_dim in (True, 1.0, " 1", None):
+        with pytest.raises(ValueError):
+            from_json_dict({"dim": bad_dim, "entries": [["5"]]})
+    assert from_json_dict({"dim": "1", "entries": [["5"]]}) == SquareMatrix([[5]])
 
 
 def assert_well_formed(m: SquareMatrix) -> None:
@@ -286,6 +290,9 @@ def test_json_round_trip_beyond_digit_limit(big_base):
 
 def test_json_rejects_long_malformed_integers():
     digits = "7" * 5000
-    for bad in (digits + ".5", digits + "e3", "+-" + digits, digits + "x", "1_" + digits):
+    long_forms = (digits + ".5", digits + "e3", "+-" + digits, digits + "x", "1_" + digits)
+    # int() takes these short forms; the one grammar is ASCII [+-]?[0-9]+
+    short_forms = ("1_000", " 12 ", "12\n", "\u0661\u0662", "", "-", "+-1")
+    for bad in long_forms + short_forms:
         with pytest.raises(ValueError):
             from_json_dict({"dim": 1, "entries": [[bad]]})
