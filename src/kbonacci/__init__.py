@@ -11,7 +11,6 @@ from .identities import (
     CheckerParams,
     SuiteGrid,
     SuiteResult,
-    VerificationReport,
     json_chunks,
     jsonify,
     run_suite,
@@ -58,7 +57,6 @@ __all__ = [
     "SquareMatrix",
     "SuiteGrid",
     "SuiteResult",
-    "VerificationReport",
     "backward_block",
     "block_properties",
     "build_base",

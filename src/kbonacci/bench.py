@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .builders import fast_term
-from .matrix import decimal_text
+from .matrix import _require_int, decimal_text
 from .sequences import _validate_order
 
 
@@ -44,8 +44,7 @@ def dec_digits(n: int) -> int:
 def iterative_term(k: int, j: int) -> int:
     """Single forward pass of the sum recurrence from the seed window."""
     _validate_order(k)
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise ValueError(f"index must be an integer >= 0, got {j!r}")
+    _require_int("index", j, 0)
     if k == 2:
         a, b = 0, 1
         for _ in range(j):
@@ -73,8 +72,7 @@ def run_bench(k: int, j_max: int, step: int | None = None) -> list[BenchRow]:
     _validate_order(k)
     if step is None:
         step = j_max
-    if not isinstance(j_max, int) or isinstance(j_max, bool) or j_max < 1:
-        raise ValueError(f"j_max must be an integer >= 1, got {j_max!r}")
+    _require_int("j_max", j_max, 1)
     if not isinstance(step, int) or isinstance(step, bool) or not 1 <= step <= j_max:
         raise ValueError(f"step must satisfy 1 <= step <= j_max, got {step!r}")
     rows = []

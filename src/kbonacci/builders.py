@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import mul
 
-from .matrix import SquareMatrix, compose, identity, zeros
+from .matrix import SquareMatrix, _require_int, compose, identity, zeros
 from .sequences import _validate_order, lucas_term, term, x_power_mod
 
 
@@ -33,8 +33,7 @@ CACHE_SIZE = 1024
 
 
 def _validate_level(r) -> None:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"level must be an integer >= 1, got {r!r}")
+    _require_int("level", r, 1)
 
 
 def _layout(value, k: int, r: int, j: int) -> SquareMatrix:
@@ -109,8 +108,7 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
     """
     _validate_order(k)
     _validate_level(r)
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValueError(f"index must be an integer >= 1, got {j!r}")
+    _require_int("index", j, 1)
     q_cols = tuple(zip(*(build_q(k, 1) ** (j - 1)).rows))
     inner = k ** (r - 1)
     return SquareMatrix._of(
@@ -128,6 +126,5 @@ def fast_term(k: int, j: int) -> int:
     an independent check on term() at every index.
     """
     _validate_order(k)
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise ValueError(f"index must be an integer >= 0, got {j!r}")
+    _require_int("index", j, 0)
     return x_power_mod(k, j)[k - 1]

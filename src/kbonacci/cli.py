@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, astuple, fields
 
@@ -31,9 +32,23 @@ class _UsageError(Exception):
     pass
 
 
+# longest quoted value that a usage error echoes back whole
+ECHO_CHARS = 40
+
+
+def _shorten(quoted: re.Match) -> str:
+    """A quoted value cut to its first ECHO_CHARS characters."""
+    text = quoted[0]
+    if len(text) <= ECHO_CHARS + 2:
+        return text
+    return text[: ECHO_CHARS + 1] + "..." + quoted[1]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        # argparse echoes a rejected value whole, and an integer flag may
+        # carry thousands of digits
+        raise _UsageError(re.sub(r"""(['"]).*?\1""", _shorten, message))
 
 
 def _build_parser() -> _Parser:
@@ -70,12 +85,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run identity checkers and report")
     p.add_argument("--suite", default="all", help="'all' or comma-separated checker ids")
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--max-r", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--max-j", type=int, default=None)
-    p.add_argument("--min-j", type=int, default=None)
+    # each dest is the SuiteGrid field the flag sets
+    p.add_argument("--max-k", type=int)
+    p.add_argument("--max-r", type=int)
+    p.add_argument("--max-n", dest="n_max", metavar="MAX_N", type=int)
+    p.add_argument("--max-m", dest="m_max", metavar="MAX_M", type=int)
+    p.add_argument("--max-j", dest="j_max", metavar="MAX_J", type=int)
+    p.add_argument("--min-j", dest="j_min", metavar="MIN_J", type=int)
     add_common(p)
 
     p = sub.add_parser("bench", help="time the plain recurrence against x^j mod P_k evaluation")
@@ -263,19 +279,8 @@ def _verify_plain(result):
 
 
 def _cmd_verify(args) -> int:
-    grid_kwargs = {}
-    for flag, field_name in (
-        ("max_k", "max_k"),
-        ("max_r", "max_r"),
-        ("max_n", "n_max"),
-        ("max_m", "m_max"),
-        ("max_j", "j_max"),
-        ("min_j", "j_min"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            grid_kwargs[field_name] = value
-    grid = SuiteGrid(**grid_kwargs)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(SuiteGrid)}
+    grid = SuiteGrid(**{name: value for name, value in flags.items() if value is not None})
     selection = None if args.suite.strip() == "all" else [s.strip() for s in args.suite.split(",") if s.strip()]
     result = run_suite(selection, grid)
     if args.format == "plain":

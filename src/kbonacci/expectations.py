@@ -20,19 +20,13 @@ class ExpectedDeviation:
     checker: str
     reason: str
     min_k: int = 2
-    max_k: int | None = None
     min_r: int = 0
-    max_r: int | None = None
     readings: tuple[str, ...] | None = None
 
     def matches(self, checker: str, params: dict) -> bool:
         if checker != self.checker:
             return False
-        k = params.get("k", 2)
-        r = params.get("r", 0)
-        if k < self.min_k or (self.max_k is not None and k > self.max_k):
-            return False
-        if r < self.min_r or (self.max_r is not None and r > self.max_r):
+        if params.get("k", 2) < self.min_k or params.get("r", 0) < self.min_r:
             return False
         if self.readings is not None and params.get("reading") not in self.readings:
             return False

@@ -30,13 +30,23 @@ from types import GeneratorType
 
 from .builders import build_higher, build_lucas, fast_f
 from .expectations import expected_reason
-from .matrix import SquareMatrix, decimal_text, identity, to_json_dict, zeros
+from .matrix import SquareMatrix, _require_int, decimal_text, identity, to_json_dict, zeros
 from .sequences import lucas_term, term
 
 HOLDS = "holds"
 FAILS = "fails"
 HOLDS_CORRECTED = "holds-corrected"
 SKIPPED = "skipped"
+
+
+def _check_bounds(grid) -> None:
+    """Check the index bounds that CheckerParams and SuiteGrid share."""
+    _require_int("n_max", grid.n_max, 1)
+    _require_int("m_max", grid.m_max, 1)
+    _require_int("j_min", grid.j_min, None)
+    _require_int("j_max", grid.j_max, None)
+    if grid.j_min > grid.j_max:
+        raise ValueError("empty parameter grid")
 
 
 @dataclass(frozen=True)
@@ -55,20 +65,9 @@ class CheckerParams:
     j_max: int = 12
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise ValueError(f"order must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 0:
-            raise ValueError(f"level must be an integer >= 0, got {self.r!r}")
-        if self.n_max < 1 or self.m_max < 1 or self.j_min > self.j_max:
-            raise ValueError("empty parameter grid")
-
-    @property
-    def even_power(self) -> int:
-        return self.r // 2
-
-    @property
-    def odd_power(self) -> int:
-        return (self.r - 1) // 2
+        _require_int("order", self.k, 2)
+        _require_int("level", self.r, 0)
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -81,26 +80,6 @@ class CheckCase:
     status: str
     counterexample: dict | None = None
     reason: str | None = None
-
-
-class _Verdict:
-    """Pass/fail verdict over the `cases` of a report or a suite result."""
-
-    def unexpected_failures(self) -> list[CheckCase]:
-        return [c for c in self.cases if c.status == FAILS and c.reason is None]
-
-    @property
-    def passed(self) -> bool:
-        return not self.unexpected_failures()
-
-
-@dataclass(frozen=True)
-class VerificationReport(_Verdict):
-    """All cases one checker produced for one parameter grid."""
-
-    checker: str
-    grid: dict
-    cases: tuple[CheckCase, ...]
 
 
 def _serialize(value):
@@ -130,7 +109,7 @@ def _checker(order: int | None = None, min_r: int = 0):
     status-if-equal]]) per case, or (index params,) for a skipped case.
     The registered checker rejects parameters outside its domain (order
     `order` only, when given; levels r >= min_r), adds k and r to every
-    case's params and returns the VerificationReport.  `order` and
+    case's params and returns the checker's SuiteResult.  `order` and
     `min_r` stay on the checker, where run_suite reads its grid from.
     """
 
@@ -138,7 +117,7 @@ def _checker(order: int | None = None, min_r: int = 0):
         checker_id = cases_of.__name__.removeprefix("check_")
 
         @functools.wraps(cases_of)
-        def check(p: CheckerParams) -> VerificationReport:
+        def check(p: CheckerParams) -> SuiteResult:
             if order is not None and p.k != order:
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
@@ -150,7 +129,7 @@ def _checker(order: int | None = None, min_r: int = 0):
                     cases.append(_case(checker_id, params, *sides))
                 else:
                     cases.append(CheckCase(checker_id, params, SKIPPED))
-            return VerificationReport(checker_id, asdict(p), tuple(cases))
+            return SuiteResult(checker_id, asdict(p), tuple(cases))
 
         check.order = order
         check.min_r = min_r
@@ -336,92 +315,77 @@ def _q_power(j: int) -> SquareMatrix:
     return _Q**j if j >= 0 else _Q_INV ** (-j)
 
 
-def _fib_evaluators(p: CheckerParams):
-    """(F, L) at the requested order-2 level plus the companion-power
-    shadow pair at level 1, or None when no independent oracle applies."""
-    if p.r == 0:
-        return (lambda i: term(2, i)), lucas_term, None, None
-    F = lambda i: build_higher(2, p.r, i)
-    L = lambda i: build_lucas(p.r, i)
-    if p.r == 1:
-        Fq = _q_power
-        Lq = lambda i: _q_power(i + 1) + _q_power(i - 1)
-        return F, L, Fq, Lq
-    return F, L, None, None
+def _fib_pair(cases_of):
+    """Register the generator check_<id>(p, F, L) as an order-2 checker.
+
+    F and L evaluate the Fibonacci and Lucas members of level p.r.  At
+    level 1 the same generator also runs, in lockstep, on plain companion
+    powers; the first case on which the two disagree is a library defect
+    and raises instead of reporting.
+    """
+
+    @functools.wraps(cases_of)
+    def cases(p: CheckerParams):
+        F, _ = _level(p)
+        main = cases_of(p, F, lucas_term if p.r == 0 else functools.partial(build_lucas, p.r))
+        if p.r != 1:
+            yield from main
+            return
+        shadow = cases_of(p, _q_power, lambda i: _q_power(i + 1) + _q_power(i - 1))
+        for case, check in zip(main, shadow):
+            if check != case:
+                raise RuntimeError(
+                    "companion-power oracle disagrees with the matrix builders; "
+                    "this is a library defect, not an identity failure"
+                )
+            yield case
+
+    return _checker(order=2)(cases)
 
 
-def _evaluate_pair(p: CheckerParams, sides):
-    """Evaluate sides(F, L) and, at level 1, revalidate through plain
-    companion powers.  The two paths must agree exactly."""
-    F, L, Fq, Lq = _fib_evaluators(p)
-    main = sides(F, L)
-    if Fq is not None:
-        shadow = sides(Fq, Lq)
-        if shadow != main:
-            raise RuntimeError(
-                "companion-power oracle disagrees with the matrix builders; "
-                "this is a library defect, not an identity failure"
-            )
-    return main
+def _scaled(r: int, F, L, i: int):
+    """The parity-scaled order-2 target of level r: 5^(r/2)*F(i) at even
+    r, 5^((r-1)/2)*L(i) at odd r, so F(i) itself at r = 0."""
+    return 5 ** (r // 2) * (L(i) if r % 2 else F(i))
 
 
-@_checker(order=2)
-def check_lucas_pair(p: CheckerParams):
+@_fib_pair
+def check_lucas_pair(p: CheckerParams, F, L):
     """Two linear pair identities: L(s) + L(s+2) against 5*F(s+1), and
     F(s) + F(s+2) against L(s+1)."""
     for s in range(p.j_min, p.j_max + 1):
-        lucas_sum = _evaluate_pair(p, lambda F, L: (L(s) + L(s + 2), 5 * F(s + 1)))
-        yield {"s": s, "part": "lucas-sum"}, *lucas_sum
-        fib_sum = _evaluate_pair(p, lambda F, L: (F(s) + F(s + 2), L(s + 1)))
-        yield {"s": s, "part": "fib-sum"}, *fib_sum
+        yield {"s": s, "part": "lucas-sum"}, L(s) + L(s + 2), 5 * F(s + 1)
+        yield {"s": s, "part": "fib-sum"}, F(s) + F(s + 2), L(s + 1)
 
 
-@_checker(order=2)
-def check_addition_formula(p: CheckerParams):
+@_fib_pair
+def check_addition_formula(p: CheckerParams, F, L):
     """Index addition: F(m-1)*F(n) + F(m)*F(n+1) against the scaled
     target, 5^(r/2)*F(m+n) at even levels and 5^((r-1)/2)*L(m+n) at odd
     levels; the scalar form targets F(m+n) itself."""
     for m in range(p.j_min, p.j_max + 1):
         for n in range(p.j_min, p.j_max + 1):
-
-            def sides(F, L, m=m, n=n):
-                products = F(m - 1) * F(n) + F(m) * F(n + 1)
-                if p.r == 0:
-                    return F(m + n), products
-                if p.r % 2 == 0:
-                    return (5**p.even_power) * F(m + n), products
-                return (5**p.odd_power) * L(m + n), products
-
-            yield {"m": m, "n": n}, *_evaluate_pair(p, sides)
+            yield {"m": m, "n": n}, _scaled(p.r, F, L, m + n), F(m - 1) * F(n) + F(m) * F(n + 1)
 
 
-@_checker(order=2)
-def check_fl_double(p: CheckerParams):
+@_fib_pair
+def check_fl_double(p: CheckerParams, F, L):
     """F(n) + L(n) against 2*F(n+1)."""
     for n in range(p.j_min, p.j_max + 1):
-        yield {"n": n}, *_evaluate_pair(p, lambda F, L: (F(n) + L(n), 2 * F(n + 1)))
+        yield {"n": n}, F(n) + L(n), 2 * F(n + 1)
 
 
-@_checker(order=2)
-def check_square_sum(p: CheckerParams):
+@_fib_pair
+def check_square_sum(p: CheckerParams, F, L):
     """F(n+1)^2 + F(n)^2 against the scaled odd-index target:
     F(2n+1) at the scalar level, 5^(r/2)*F(2n+1) at even levels,
     5^((r-1)/2)*L(2n+1) at odd levels."""
     for n in range(p.j_min, p.j_max + 1):
-
-        def sides(F, L, n=n):
-            squares = F(n + 1) * F(n + 1) + F(n) * F(n)
-            if p.r == 0:
-                return squares, F(2 * n + 1)
-            if p.r % 2 == 0:
-                return squares, (5**p.even_power) * F(2 * n + 1)
-            return squares, (5**p.odd_power) * L(2 * n + 1)
-
-        yield {"n": n}, *_evaluate_pair(p, sides)
+        yield {"n": n}, F(n + 1) * F(n + 1) + F(n) * F(n), _scaled(p.r, F, L, 2 * n + 1)
 
 
-@_checker(order=2)
-def check_square_diff(p: CheckerParams):
+@_fib_pair
+def check_square_diff(p: CheckerParams, F, L):
     """F(n+1)^2 - F(n)^2 against its cataloged target.
 
     Scalar: F(n+2)*F(n-1).  Odd levels: 5^((r-1)/2)*F(2n+1).  Even
@@ -431,45 +395,35 @@ def check_square_diff(p: CheckerParams):
     the cataloged sides as the counterexample payload.
     """
     for n in range(p.j_min, p.j_max + 1):
-
-        def sides(F, L, n=n):
-            diff = F(n + 1) * F(n + 1) - F(n) * F(n)
-            if p.r == 0:
-                return diff, F(n + 2) * F(n - 1), None
-            if p.r % 2 == 1:
-                return diff, (5**p.odd_power) * F(2 * n + 1), None
-            stated = (5**p.even_power) * L(2 * n + 1)
-            corrected = (5 ** ((p.r - 2) // 2)) * L(2 * n + 1)
-            return diff, stated, corrected
-
-        yield {"n": n}, *_evaluate_pair(p, sides)
+        diff = F(n + 1) * F(n + 1) - F(n) * F(n)
+        if p.r == 0:
+            yield {"n": n}, diff, F(n + 2) * F(n - 1)
+            continue
+        # at odd levels the corrected target is the cataloged one
+        corrected = _scaled(p.r - 1, F, L, 2 * n + 1)
+        stated = corrected if p.r % 2 else _scaled(p.r + 1, F, L, 2 * n + 1)
+        yield {"n": n}, diff, stated, corrected
 
 
-@_checker(order=2)
-def check_square_series(p: CheckerParams):
+@_fib_pair
+def check_square_series(p: CheckerParams, F, L):
     """Sum of F(i)^2 for i = 1..n against the closed form: F(n)*F(n+1) at
     the scalar level, 5^((r-1)/2)*(F(2n+1) - F(1)) at odd levels, and
     5^((r-2)/2)*(L(2n+1) - L(1)) at even levels."""
-    F0, L0, _, _ = _fib_evaluators(p)
     zero = 0 if p.r == 0 else zeros(2**p.r)
     running = zero
     for n in range(1, p.n_max + 1):
-
-        def sides(F, L, n=n):
-            total = zero
-            for i in range(1, n + 1):
-                total = total + F(i) * F(i)
-            if p.r == 0:
-                return total, F(n) * F(n + 1)
-            if p.r % 2 == 1:
-                return total, (5**p.odd_power) * (F(2 * n + 1) - F(1))
-            return total, (5 ** ((p.r - 2) // 2)) * (L(2 * n + 1) - L(1))
-
-        running = running + F0(n) * F0(n)
-        lhs, rhs = _evaluate_pair(p, sides)
-        if lhs != running:
+        total = zero
+        for i in range(1, n + 1):
+            total = total + F(i) * F(i)
+        running = running + F(n) * F(n)
+        if total != running:
             raise RuntimeError("incremental square series disagrees with direct sum")
-        yield {"n": n}, lhs, rhs
+        if p.r == 0:
+            rhs = F(n) * F(n + 1)
+        else:
+            rhs = _scaled(p.r - 1, F, L, 2 * n + 1) - _scaled(p.r - 1, F, L, 1)
+        yield {"n": n}, total, rhs
 
 
 CHECKER_IDS = tuple(CHECKERS)
@@ -498,16 +452,12 @@ class SuiteGrid:
     extra_fib_level: int | None = 3
 
     def __post_init__(self) -> None:
-        if self.max_k < 2:
-            raise ValueError("max_k must be >= 2")
-        if self.max_r < 1:
-            raise ValueError("max_r must be >= 1")
-        if self.n_max < 1 or self.m_max < 1 or self.j_min > self.j_max:
-            raise ValueError("empty parameter grid")
-        extra = self.extra_fib_level
-        not_level = not isinstance(extra, int) or isinstance(extra, bool) or extra < 1
-        if extra is not None and not_level:
-            raise ValueError(f"extra_fib_level must be None or an integer >= 1, got {extra!r}")
+        _require_int("max_k", self.max_k, 2)
+        _require_int("max_r", self.max_r, 1)
+        _check_bounds(self)
+        _require_int("dim_cap", self.dim_cap, None)
+        if self.extra_fib_level is not None:
+            _require_int("extra_fib_level", self.extra_fib_level, 1)
 
     def k_values(self) -> tuple[int, ...]:
         return tuple(range(2, self.max_k + 1))
@@ -521,13 +471,21 @@ class SuiteGrid:
 
 
 @dataclass(frozen=True)
-class SuiteResult(_Verdict):
-    """Aggregated result of a run_suite call."""
+class SuiteResult:
+    """The cases of one checker run (suite is the checker id, grid its
+    CheckerParams) or of a run_suite call."""
 
     suite: str
     grid: dict
     cases: tuple[CheckCase, ...]
     generated_at: str = field(default="", compare=False)
+
+    def unexpected_failures(self) -> list[CheckCase]:
+        return [c for c in self.cases if c.status == FAILS and c.reason is None]
+
+    @property
+    def passed(self) -> bool:
+        return not self.unexpected_failures()
 
     def status_counts(self) -> dict[str, int]:
         counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}

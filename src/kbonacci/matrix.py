@@ -15,6 +15,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_int(name: str, value, minimum: int | None) -> None:
+    """Reject a value that is not an int (bools excluded) or, when a
+    minimum is given, is below it."""
+    if not _is_int(value) or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 class SquareMatrix:
     """Immutable n-by-n integer matrix.
 
@@ -119,8 +127,7 @@ class SquareMatrix:
         return NotImplemented
 
     def __pow__(self, e):
-        if not _is_int(e) or e < 0:
-            raise ValueError(f"exponent must be an integer >= 0, got {e!r}")
+        _require_int("exponent", e, 0)
         result = identity(self.dim)
         base = self
         while e:
@@ -139,8 +146,7 @@ class SquareMatrix:
 
 def identity(dim: int) -> SquareMatrix:
     """Identity matrix of the given dimension."""
-    if not _is_int(dim) or dim < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
+    _require_int("dimension", dim, 1)
     return SquareMatrix._of(
         tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
     )
@@ -148,8 +154,7 @@ def identity(dim: int) -> SquareMatrix:
 
 def zeros(dim: int) -> SquareMatrix:
     """Zero matrix of the given dimension."""
-    if not _is_int(dim) or dim < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
+    _require_int("dimension", dim, 1)
     return SquareMatrix._of(((0,) * dim,) * dim)
 
 
@@ -181,8 +186,7 @@ def compose(blocks) -> SquareMatrix:
 
 def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
     """Split m into a k-by-k grid of equal square blocks; inverse of compose."""
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"grid size must be an integer >= 1, got {k!r}")
+    _require_int("grid size", k, 1)
     if m.dim % k != 0:
         raise ValueError(f"dimension {m.dim} is not divisible by {k}")
     inner = m.dim // k

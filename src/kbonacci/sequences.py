@@ -23,6 +23,8 @@ import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
+from .matrix import _require_int
+
 # Largest |j| served from the window.  The window holds every term up to
 # its edge, so its size grows with the square of the index.
 WINDOW_CAP = 4096
@@ -48,8 +50,7 @@ def _step_limit(k: int, j: int) -> int:
 
 
 def _validate_order(k) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"order must be an integer >= 2, got {k!r}")
+    _require_int("order", k, 2)
 
 
 def _square_mod(c: list[int]) -> list[int]:
@@ -315,8 +316,7 @@ class BlockProperties:
 def backward_block(k: int, n: int) -> BackwardBlock:
     """n-th block of k backward terms, n >= 0."""
     _validate_order(k)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"block index must be an integer >= 0, got {n!r}")
+    _require_int("block index", n, 0)
     base = n * k
     values = tuple(reversed(term_range(k, -(base + k), -(base + 1))))
     return BackwardBlock(order=k, index=n, values=values)
@@ -329,30 +329,17 @@ def block_properties(k: int, n: int) -> BlockProperties:
 
 def _properties_of(block: BackwardBlock) -> BlockProperties:
     k, n, values = block.order, block.index, block.values
-    nonzero = [v for v in values if v != 0]
-    alternating = bool(nonzero) and nonzero[0] > 0
-    for a, b in zip(nonzero, nonzero[1:]):
-        if (a > 0) == (b > 0):
-            alternating = False
-            break
-    second_last_pos = None
-    if len(nonzero) >= 2:
-        seen = 0
-        for pos in range(len(values) - 1, -1, -1):
-            if values[pos] != 0:
-                seen += 1
-                if seen == 2:
-                    second_last_pos = pos
-                    break
-    interior_even = True
-    if second_last_pos is not None:
-        interior_even = all(v % 2 == 0 for v in values[:second_last_pos])
+    where = [pos for pos, v in enumerate(values) if v != 0]
+    nonzero = [values[pos] for pos in where]
     return BlockProperties(
-        alternating_signs=alternating,
+        alternating_signs=bool(nonzero)
+        and nonzero[0] > 0
+        and all((a > 0) != (b > 0) for a, b in zip(nonzero, nonzero[1:])),
         zero_sum=sum(values) == 0,
         leading_matches_forward=values[0] == term(k, k + n),
         leading_is_power_of_two=values[0] == 2**n,
         last_nonzero_unit=bool(nonzero) and abs(nonzero[-1]) == 1,
         second_last_odd=len(nonzero) >= 2 and abs(nonzero[-2]) == 2 * n + 1,
-        interior_even=interior_even,
+        # every value before the second-to-last nonzero one
+        interior_even=len(where) < 2 or all(v % 2 == 0 for v in values[: where[-2]]),
     )

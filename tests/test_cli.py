@@ -468,6 +468,17 @@ def test_unknown_command_exits_2(capsys):
     assert err.startswith("error: ")
 
 
+def test_usage_error_shortens_long_values(capsys):
+    # one line that starts the value, however long the value is
+    code, out, err = run_cli(capsys, "term", "--k", "2", "--j", "1" * 4300 + "x")
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --j: invalid int value: '{'1' * 40}...'\n"
+    code, _, err = run_cli(capsys, "term", "--k", "2", "--j", "3", "--format", "y" * 100)
+    assert code == 2
+    assert err.startswith(f"error: argument --format: invalid choice: '{'y' * 40}...' (choose from ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_bad_format_choice_exits_2(capsys):
     code, _, err = run_cli(capsys, "term", "--k", "2", "--j", "3", "--format", "yaml")
     assert code == 2

@@ -243,19 +243,27 @@ def test_fibonacci_checkers_reject_other_orders():
             checker(CheckerParams(k=3, r=0))
 
 
-def test_companion_shadow_oracle_guard():
-    from kbonacci.identities import _evaluate_pair
+def test_companion_shadow_oracle_guard(monkeypatch):
+    from kbonacci import identities
 
-    calls = []
+    q_power = identities._q_power
+    monkeypatch.setattr(identities, "_q_power", lambda j: 2 * q_power(j) if j == 2 else q_power(j))
+    order_2 = [CHECKERS[c] for c in CHECKER_IDS if CHECKERS[c].order == 2]
+    assert len(order_2) == 6
+    for checker in order_2:
+        with pytest.raises(RuntimeError, match="companion-power oracle disagrees"):
+            checker(CheckerParams(k=2, r=1, n_max=3, j_min=-1, j_max=3))
+        # no shadow pair above level 1, so the same cases run untouched
+        checker(CheckerParams(k=2, r=2, n_max=3, j_min=-1, j_max=3))
 
-    def sides(F, L):
-        calls.append(1)
-        return len(calls)
 
-    with pytest.raises(RuntimeError):
-        _evaluate_pair(CheckerParams(k=2, r=1), sides)
-    # no shadow pair above level 1, so the same sides pass untouched
-    assert _evaluate_pair(CheckerParams(k=2, r=2), sides) == 3
+def test_square_series_incremental_guard(monkeypatch):
+    from kbonacci import identities
+
+    calls = iter(range(10**6))
+    monkeypatch.setattr(identities, "term", lambda k, j: next(calls))
+    with pytest.raises(RuntimeError, match="incremental square series disagrees"):
+        check_square_series(CheckerParams(k=2, r=0, n_max=2))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +277,6 @@ def test_checker_params_validation():
     for bad in ({"n_max": 0}, {"m_max": 0}, {"j_min": 3, "j_max": 2}):
         with pytest.raises(ValueError):
             CheckerParams(k=2, **bad)
-    p = CheckerParams(k=2, r=4)
-    assert p.even_power == 2
-    assert p.odd_power == 1
 
 
 def test_suite_grid_validation():
@@ -286,6 +291,27 @@ def test_suite_grid_validation():
     assert grid.matrix_levels(4) == (1, 2)
     assert SuiteGrid(max_r=3).matrix_levels(4) == (1, 2)  # 64 > dim_cap
     assert SuiteGrid(extra_fib_level=None).matrix_levels(2) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    ("grid_type", "field", "value"),
+    [
+        (SuiteGrid, "max_k", 3.0),
+        (SuiteGrid, "max_r", True),
+        (SuiteGrid, "n_max", "4"),
+        (SuiteGrid, "m_max", 4.0),
+        (SuiteGrid, "j_min", True),
+        (SuiteGrid, "j_max", 3.0),
+        (SuiteGrid, "dim_cap", 8.0),
+        (CheckerParams, "n_max", 4.0),
+        (CheckerParams, "m_max", True),
+        (CheckerParams, "j_min", -1.0),
+        (CheckerParams, "j_max", "5"),
+    ],
+)
+def test_grid_integer_fields_reject_other_types(grid_type, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        grid_type(**{field: value})
 
 
 def test_suite_grid_extra_fib_level_must_be_a_matrix_level():
