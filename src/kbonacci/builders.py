@@ -5,11 +5,12 @@ The order-k base matrix places sequence terms on anti-diagonals: entry
 repeat the same layout with order-k^(r-1) blocks in place of scalars, so
 the level-r matrix has dimension k^r and entry (R, C), 0-based, holds
 term(j + r(k-1) - ds(R) - ds(C)), ds the base-k digit sum of the
-position; the F and Lucas families are built from that formula.  The
-companion matrix advances the family by one index step per
-right-multiplication; it is built from identity and zero blocks the same
-way, so Q_r = Q_1 (x) I, the Kronecker product with the identity of
-dimension k^(r-1).  fast_f powers the k-by-k companion matrix, lifts the
+position.  The F and Lucas families are built from that formula through
+its class table (_member_table), one value per pair of digit sums, which
+is also the form the identity checkers compute on.  The companion matrix
+advances the family by one index step per right-multiplication; it is
+built from identity and zero blocks the same way, so Q_r = Q_1 (x) I,
+the Kronecker product with the identity of dimension k^(r-1).  fast_f powers the k-by-k companion matrix, lifts the
 result blockwise and serves as the oracle for the matrix laws.  fast_term
 evaluates single terms from x^j mod P_k(x) instead, which costs
 O(k^2 log j) big-integer products against O(k^3 log j) for the companion
@@ -36,21 +37,44 @@ def _validate_level(r) -> None:
     _require_int("level", r, 1)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _digit_sums(k: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(ds, w) for the level-r positions of order k: ds[R] is the base-k
+    digit sum of position R = 0..k^r - 1, and w[d] the number of
+    positions whose digit sum is d, for d = 0..r(k-1)."""
+    ds = (0,)
+    for _ in range(r):
+        ds = tuple(a + d for a in range(k) for d in ds)
+    w = [0] * (r * (k - 1) + 1)
+    for d in ds:
+        w[d] += 1
+    return ds, tuple(w)
+
+
+def _member_table(value, k: int, r: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """Class table of the level-r member at index j of the order-k family
+    over the terms value(i): row u, column v holds value(j + r(k-1) - u - v),
+    the entry at every (R, C) with ds(R) = u and ds(C) = v.
+
+    So the member reads only the 2r(k-1) + 1 terms around j.
+    """
+    top = r * (k - 1)
+    terms = tuple(value(j + top - t) for t in range(2 * top + 1))
+    return tuple(terms[u : u + top + 1] for u in range(top + 1))
+
+
+def _spread(table, ds) -> tuple[tuple, ...]:
+    """The rows of the matrix whose entry (R, C) is table[ds[R]][ds[C]];
+    rows with equal digit sum are one tuple."""
+    rows = [tuple(row[d] for d in ds) for row in table]
+    return tuple(rows[d] for d in ds)
+
+
 def _layout(value, k: int, r: int, j: int) -> SquareMatrix:
     """Level-r member at index j of the order-k family over the terms
     value(i): entry (R, C), 0-based, holds value(j + r(k-1) - ds(R) - ds(C)),
-    where ds is the base-k digit sum.
-
-    So the member reads only the 2r(k-1) + 1 terms around j, and rows
-    with equal digit sum are one tuple.
-    """
-    ds = [0]
-    for _ in range(r):
-        ds = [a + d for a in range(k) for d in ds]
-    top = r * (k - 1)
-    terms = [value(j + top - t) for t in range(2 * top + 1)]
-    rows = [tuple(terms[t + d] for d in ds) for t in range(top + 1)]
-    return SquareMatrix._of(tuple(rows[d] for d in ds))
+    where ds is the base-k digit sum."""
+    return SquareMatrix._of(_spread(_member_table(value, k, r, j), _digit_sums(k, r)[0]))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

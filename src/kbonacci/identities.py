@@ -12,11 +12,14 @@ compared exactly.  A case reports one of four statuses:
   skipped          parameters outside the identity's stated domain
 
 Scalar cases run at level r = 0 on sequence terms; matrix cases run the
-same shape of identity on the level-r block family.  The order-2 matrix
-family consists of companion-matrix powers, so every order-2 level-1
-identity is re-evaluated through plain companion powers as an
-independent second oracle; a disagreement there is a library defect and
-raises instead of reporting.
+same shape of identity on the level-r block family, evaluated on class
+tables over digit-sum pairs (_Classes).  Two stay dense: geometric's
+literal identity-matrix reading, and q_power, which compares the
+builders with the companion-power path.  The order-2 matrix family
+consists of companion-matrix powers, so every order-2 level-1 identity
+is re-evaluated through plain companion powers as an independent second
+oracle; a disagreement there is a library defect and raises instead of
+reporting.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add, mul, sub
 from types import GeneratorType
 
-from .builders import build_higher, build_lucas, fast_f
+from .builders import _digit_sums, _member_table, _spread, build_higher, fast_f
 from .expectations import expected_reason
-from .matrix import SquareMatrix, _require_int, decimal_text, identity, to_json_dict, zeros
+from .matrix import SquareMatrix, _require_int, decimal_text, identity, to_json_dict
 from .sequences import lucas_term, term
 
 HOLDS = "holds"
@@ -83,6 +87,8 @@ class CheckCase:
 
 
 def _serialize(value):
+    if isinstance(value, _Classes):
+        return value.json_dict()
     if isinstance(value, SquareMatrix):
         return to_json_dict(value)
     return decimal_text(value)
@@ -139,15 +145,77 @@ def _checker(order: int | None = None, min_r: int = 0):
     return register
 
 
-def _ones(dim: int) -> SquareMatrix:
-    return SquareMatrix(tuple((1,) * dim for _ in range(dim)))
+class _Classes:
+    """A level-r matrix whose entry (R, C) depends on the position only
+    through (ds(R), ds(C)), ds the base-k digit sum, held as its class
+    table: a[u][v] is the entry at every position pair with digit sums
+    (u, v), for u, v = 0..r(k-1).
+
+    Every family member has this form (builders._member_table), and sums,
+    integer multiples and products keep it: entry (R, C) of A B sums
+    A[R][M] * B[M][C] over the middle position M, whose factors depend on
+    M only through ds(M), so (A B)[u][v] = sum over d of
+    a[u][d] * w[d] * b[d][v], w[d] the number of positions with digit
+    sum d.  Every (u, v) occurs as some (ds(R), ds(C)), so two tables are
+    equal exactly when their matrices are.
+    """
+
+    __slots__ = ("a", "sums")
+
+    def __init__(self, a: tuple[tuple[int, ...], ...], sums) -> None:
+        self.a = a
+        self.sums = sums  # builders._digit_sums(k, r): (ds, w)
+
+    def __add__(self, other):
+        return _Classes(tuple(tuple(map(add, x, y)) for x, y in zip(self.a, other.a)), self.sums)
+
+    def __sub__(self, other):
+        return _Classes(tuple(tuple(map(sub, x, y)) for x, y in zip(self.a, other.a)), self.sums)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Classes(tuple(tuple(other * x for x in row) for row in self.a), self.sums)
+        w = self.sums[1]
+        cols = tuple(zip(*other.a))
+        return _Classes(
+            tuple(
+                tuple(sum(map(mul, weighted, col)) for col in cols)
+                for weighted in (tuple(map(mul, row, w)) for row in self.a)
+            ),
+            self.sums,
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SquareMatrix):
+            return self.dense() == other
+        if not isinstance(other, _Classes):
+            return NotImplemented
+        return self.a == other.a
+
+    def dense(self) -> SquareMatrix:
+        return SquareMatrix._of(_spread(self.a, self.sums[0]))
+
+    def json_dict(self) -> dict:
+        """to_json_dict(self.dense()), converting each class value once."""
+        texts = [[decimal_text(x) for x in row] for row in self.a]
+        return {"dim": len(self.sums[0]), "entries": [list(row) for row in _spread(texts, self.sums[0])]}
+
+
+def _member(value, k: int, r: int, j: int) -> _Classes:
+    """Class table of the level-r member at index j of the order-k family
+    over the terms value(i)."""
+    return _Classes(_member_table(value, k, r, j), _digit_sums(k, r))
 
 
 def _level(p: CheckerParams):
-    """Element evaluator and zero for the selected level."""
+    """Element evaluator and zero for the selected level; matrix members
+    are class tables, each built once per checker run."""
     if p.r == 0:
         return (lambda i: term(p.k, i)), 0
-    return (lambda i: build_higher(p.k, p.r, i)), zeros(p.k**p.r)
+    value = functools.partial(term, p.k)
+    return functools.cache(lambda i: _member(value, p.k, p.r, i)), _member(lambda i: 0, p.k, p.r, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +260,18 @@ def check_geometric(p: CheckerParams):
     X, zero = _level(p)
     k = p.k
     running = zero
+    if p.r:
+        ones = _member(lambda i: 1, k, p.r, 0)
     for n in range(1, p.n_max + 1):
         running = 2 * running + X(n - 1)
         if p.r == 0:
             yield {"n": n}, running, 2**n - X(k + n)
             continue
-        dim = p.k**p.r
-        readings = (
-            ("literal-identity", identity(dim), HOLDS),
-            ("literal-ones", _ones(dim), HOLDS),
-            ("corrected", X(k), HOLDS_CORRECTED),
-        )
-        for reading, constant, status in readings:
-            rhs = (2**n) * constant - X(k + n)
-            yield {"n": n, "reading": reading}, running, rhs, None, status
+        # the identity has no class table, so this reading stays dense
+        literal = (2**n) * identity(k**p.r) - build_higher(k, p.r, k + n)
+        yield {"n": n, "reading": "literal-identity"}, running, literal, None, HOLDS
+        for reading, constant, status in (("literal-ones", ones, HOLDS), ("corrected", X(k), HOLDS_CORRECTED)):
+            yield {"n": n, "reading": reading}, running, (2**n) * constant - X(k + n), None, status
 
 
 @_checker()
@@ -327,7 +393,8 @@ def _fib_pair(cases_of):
     @functools.wraps(cases_of)
     def cases(p: CheckerParams):
         F, _ = _level(p)
-        main = cases_of(p, F, lucas_term if p.r == 0 else functools.partial(build_lucas, p.r))
+        L = lucas_term if p.r == 0 else functools.cache(lambda i: _member(lucas_term, 2, p.r, i))
+        main = cases_of(p, F, L)
         if p.r != 1:
             yield from main
             return
@@ -410,7 +477,7 @@ def check_square_series(p: CheckerParams, F, L):
     """Sum of F(i)^2 for i = 1..n against the closed form: F(n)*F(n+1) at
     the scalar level, 5^((r-1)/2)*(F(2n+1) - F(1)) at odd levels, and
     5^((r-2)/2)*(L(2n+1) - L(1)) at even levels."""
-    zero = 0 if p.r == 0 else zeros(2**p.r)
+    zero = 0 * F(1)  # of F's kind: an int, a matrix or a class table
     running = zero
     for n in range(1, p.n_max + 1):
         total = zero
@@ -463,9 +530,15 @@ class SuiteGrid:
         return tuple(range(2, self.max_k + 1))
 
     def matrix_levels(self, k: int) -> tuple[int, ...]:
-        levels = [r for r in range(1, self.max_r + 1) if k**r <= self.dim_cap]
+        levels = []
+        dim = k
+        while len(levels) < self.max_r and dim <= self.dim_cap:
+            levels.append(len(levels) + 1)
+            dim *= k
         extra = self.extra_fib_level
-        if k == 2 and extra is not None and extra not in levels and 2**extra <= self.dim_cap:
+        # 2**extra <= dim_cap, tested without computing 2**extra
+        fits = extra is not None and 0 < self.dim_cap and extra < self.dim_cap.bit_length()
+        if k == 2 and fits and extra not in levels:
             levels.append(extra)
         return tuple(levels)
 

@@ -293,6 +293,16 @@ def test_suite_grid_validation():
     assert SuiteGrid(extra_fib_level=None).matrix_levels(2) == (1, 2)
 
 
+def test_matrix_levels_stop_at_the_dimension_cap():
+    assert SuiteGrid(max_r=40_000).matrix_levels(2) == (1, 2, 3, 4)
+    assert SuiteGrid(max_r=40_000, dim_cap=64).matrix_levels(4) == (1, 2, 3)
+    assert SuiteGrid(extra_fib_level=10**9).matrix_levels(2) == (1, 2)
+    assert SuiteGrid(max_r=1, extra_fib_level=4, dim_cap=16).matrix_levels(2) == (1, 4)
+    assert SuiteGrid(max_r=1, extra_fib_level=4, dim_cap=15).matrix_levels(2) == (1,)
+    for cap in (1, 0, -8):
+        assert SuiteGrid(dim_cap=cap).matrix_levels(2) == ()
+
+
 @pytest.mark.parametrize(
     ("grid_type", "field", "value"),
     [
@@ -372,6 +382,22 @@ def test_failing_cases_classified_once_at_creation(monkeypatch):
     assert all(c.reason is None for c in result.cases if c.status != FAILS)
     assert result.passed
     assert len(calls) == len(failing)  # the verdict reads the stored reason
+
+
+def test_class_tables_match_dense_members_case_for_case(monkeypatch):
+    from kbonacci import builders, identities
+
+    grid = SuiteGrid(max_k=4, max_r=3, dim_cap=64)
+    tables = run_suite(None, grid).cases
+    levels = set()
+
+    def dense(value, k, r, j):
+        levels.add((k, r))
+        return builders._layout(value, k, r, j)
+
+    monkeypatch.setattr(identities, "_member", dense)
+    assert run_suite(None, grid).cases == tables
+    assert levels == {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)}
 
 
 def test_run_suite_empty_selection():
