@@ -10,11 +10,11 @@ its class table (_member_table), one value per pair of digit sums, which
 is also the form the identity checkers compute on.  The companion matrix
 advances the family by one index step per right-multiplication; it is
 built from identity and zero blocks the same way, so Q_r = Q_1 (x) I,
-the Kronecker product with the identity of dimension k^(r-1).  fast_f powers the k-by-k companion matrix, lifts the
-result blockwise and serves as the oracle for the matrix laws.  fast_term
-evaluates single terms from x^j mod P_k(x) instead, which costs
-O(k^2 log j) big-integer products against O(k^3 log j) for the companion
-power.
+the Kronecker product with the identity of dimension k^(r-1).  fast_f
+powers the k-by-k companion matrix, lifts the result blockwise and
+serves as the oracle for the matrix laws.  fast_term evaluates single
+terms from x^j mod P_k(x) instead, which costs O(k^2 log j) big-integer
+products against O(k^3 log j) for the companion power.
 
 Every matrix built here is wrapped unchecked (SquareMatrix._of): its
 entries are sequence terms, 0 or 1, and its shape is fixed by k and r.

@@ -260,8 +260,6 @@ def check_geometric(p: CheckerParams):
     X, zero = _level(p)
     k = p.k
     running = zero
-    if p.r:
-        ones = _member(lambda i: 1, k, p.r, 0)
     for n in range(1, p.n_max + 1):
         running = 2 * running + X(n - 1)
         if p.r == 0:
@@ -270,7 +268,11 @@ def check_geometric(p: CheckerParams):
         # the identity has no class table, so this reading stays dense
         literal = (2**n) * identity(k**p.r) - build_higher(k, p.r, k + n)
         yield {"n": n, "reading": "literal-identity"}, running, literal, None, HOLDS
-        for reading, constant, status in (("literal-ones", ones, HOLDS), ("corrected", X(k), HOLDS_CORRECTED)):
+        readings = (
+            ("literal-ones", _member(lambda i: 1, k, p.r, 0), HOLDS),
+            ("corrected", X(k), HOLDS_CORRECTED),
+        )
+        for reading, constant, status in readings:
             yield {"n": n, "reading": reading}, running, (2**n) * constant - X(k + n), None, status
 
 
