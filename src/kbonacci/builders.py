@@ -9,8 +9,8 @@ position.  The F and Lucas families are built from that formula through
 its class table (_member_table), one value per pair of digit sums, which
 is also the form the identity checkers compute on.  The companion matrix
 advances the family by one index step per right-multiplication; it is
-built from identity and zero blocks the same way, so Q_r = Q_1 (x) I,
-the Kronecker product with the identity of dimension k^(r-1).  fast_f
+Q_r = Q_1 (x) I, the Kronecker product with the identity of dimension
+k^(r-1), and is filled from that product entry by entry.  fast_f
 powers the k-by-k companion matrix, lifts the result blockwise and
 serves as the oracle for the matrix laws.  fast_term evaluates single
 terms from x^j mod P_k(x) instead, which costs O(k^2 log j) big-integer
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import mul
 
-from .matrix import SquareMatrix, _require_int, compose, identity, zeros
+from .matrix import SquareMatrix, _require_int
 from .sequences import _validate_order, lucas_term, term, x_power_mod
 
 
@@ -100,24 +100,23 @@ def build_lucas(r: int, j: int) -> SquareMatrix:
 
 @lru_cache(maxsize=None)
 def build_q(k: int, r: int) -> SquareMatrix:
-    """Level-r companion matrix: identity blocks down column one and on the
-    first superdiagonal, zero blocks elsewhere."""
+    """Level-r companion matrix: identity blocks of dimension k^(r-1) down
+    the first block column and on the first block superdiagonal, zero
+    blocks elsewhere, so entry (R, C), 0-based, is Q_1[R // inner][C // inner]
+    when R % inner == C % inner, and 0 otherwise."""
     _validate_order(k)
     _validate_level(r)
-    if r == 1:
-        return SquareMatrix._of(
-            tuple(
-                tuple(1 if col == 1 or col == row + 1 else 0 for col in range(1, k + 1))
-                for row in range(1, k + 1)
-            )
-        )
     inner = k ** (r - 1)
-    one, zero = identity(inner), zeros(inner)
-    grid = [
-        [one if col == 1 or col == row + 1 else zero for col in range(1, k + 1)]
-        for row in range(1, k + 1)
-    ]
-    return compose(grid)
+    dim = k * inner
+    return SquareMatrix._of(
+        tuple(
+            tuple(
+                1 if R % inner == C % inner and (C < inner or C // inner == R // inner + 1) else 0
+                for C in range(dim)
+            )
+            for R in range(dim)
+        )
+    )
 
 
 def fast_f(k: int, r: int, j: int) -> SquareMatrix:

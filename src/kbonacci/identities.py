@@ -12,10 +12,12 @@ compared exactly.  A case reports one of four statuses:
   skipped          parameters outside the identity's stated domain
 
 Scalar cases run at level r = 0 on sequence terms; matrix cases run the
-same shape of identity on the level-r block family, evaluated on class
-tables over digit-sum pairs (_Classes).  Two stay dense: geometric's
-literal identity-matrix reading, and q_power, which compares the
-builders with the companion-power path.  The order-2 matrix family
+same shape of identity on the level-r block family, each member held as
+its w-scaled class table over digit-sum pairs (_member), a SquareMatrix
+of dimension r(k-1)+1 whose arithmetic is that of the dense members.
+Two stay dense: the right side of geometric's literal identity-matrix
+reading, and q_power, which compares the builders with the
+companion-power path.  The order-2 matrix family
 consists of companion-matrix powers, so every order-2 level-1 identity
 is re-evaluated through plain companion powers as an independent second
 oracle; a disagreement there is a library defect and raises instead of
@@ -29,10 +31,10 @@ import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add, mul, sub
+from operator import mul
 from types import GeneratorType
 
-from .builders import _digit_sums, _member_table, _spread, build_higher, fast_f
+from .builders import CACHE_SIZE, _digit_sums, _member_table, _spread, build_higher, fast_f
 from .expectations import expected_reason
 from .matrix import SquareMatrix, _require_int, decimal_text, identity, to_json_dict
 from .sequences import lucas_term, term
@@ -86,21 +88,54 @@ class CheckCase:
     reason: str | None = None
 
 
-def _serialize(value):
-    if isinstance(value, _Classes):
-        return value.json_dict()
-    if isinstance(value, SquareMatrix):
+def _member(value, k: int, r: int, j: int) -> SquareMatrix:
+    """The level-r member at index j of the order-k family over the terms
+    value(i), as its class table (builders._member_table) with column v
+    scaled by w[v], the number of positions of digit sum v.  With
+    W = diag(w), a product of members has the table a W b, so its scaled
+    table a W b W is the product of the scaled tables; sums and integer
+    multiples carry over entrywise, and as every w[v] >= 1, two tables are
+    equal exactly when their members are.  At r = 1 the table is the
+    dense member."""
+    w = _digit_sums(k, r)[1]
+    return SquareMatrix._of(tuple(tuple(map(mul, row, w)) for row in _member_table(value, k, r, j)))
+
+
+def _entries(m: SquareMatrix, k: int, r: int, cell=int):
+    """Rows of the dense level-r matrix of order k that m stands for: m
+    itself at dimension k^r, else m is a scaled table (dimension r(k-1)+1,
+    below k^r for r >= 2), unscaled and passed through cell once per class
+    before it is spread by digit sum."""
+    if m.dim == k**r:
+        return m.rows
+    ds, w = _digit_sums(k, r)
+    return _spread([[cell(x // c) for x, c in zip(row, w)] for row in m.rows], ds)
+
+
+def _serialize(value, k: int, r: int):
+    if not isinstance(value, SquareMatrix):
+        return decimal_text(value)
+    if value.dim == k**r:
         return to_json_dict(value)
-    return decimal_text(value)
+    return {"dim": k**r, "entries": [list(row) for row in _entries(value, k, r, decimal_text)]}
+
+
+def _same(a, b, k: int, r: int) -> bool:
+    """a == b, where at a matrix level a scaled table may meet a dense
+    matrix; the two then compare by the entries they stand for."""
+    if r and a.dim != b.dim:
+        return _entries(a, k, r) == _entries(b, k, r)
+    return a == b
 
 
 def _case(checker: str, params: dict, lhs, rhs, corrected=None, status_if_equal=HOLDS) -> CheckCase:
     """Compare the cataloged sides; a failing case whose lhs matches the
     corrected side holds-corrected, any other is classified here, once."""
-    if lhs == rhs:
+    k, r = params["k"], params["r"]
+    if _same(lhs, rhs, k, r):
         return CheckCase(checker, params, status_if_equal)
-    counterexample = {"params": dict(params), "lhs": _serialize(lhs), "rhs": _serialize(rhs)}
-    if corrected is not None and lhs == corrected:
+    counterexample = {"params": dict(params), "lhs": _serialize(lhs, k, r), "rhs": _serialize(rhs, k, r)}
+    if corrected is not None and _same(lhs, corrected, k, r):
         return CheckCase(checker, params, HOLDS_CORRECTED, counterexample)
     return CheckCase(checker, params, FAILS, counterexample, expected_reason(checker, params))
 
@@ -145,73 +180,9 @@ def _checker(order: int | None = None, min_r: int = 0):
     return register
 
 
-class _Classes:
-    """A level-r matrix whose entry (R, C) depends on the position only
-    through (ds(R), ds(C)), ds the base-k digit sum, held as its class
-    table: a[u][v] is the entry at every position pair with digit sums
-    (u, v), for u, v = 0..r(k-1).
-
-    Every family member has this form (builders._member_table), and sums,
-    integer multiples and products keep it: entry (R, C) of A B sums
-    A[R][M] * B[M][C] over the middle position M, whose factors depend on
-    M only through ds(M), so (A B)[u][v] = sum over d of
-    a[u][d] * w[d] * b[d][v], w[d] the number of positions with digit
-    sum d.  Every (u, v) occurs as some (ds(R), ds(C)), so two tables are
-    equal exactly when their matrices are.
-    """
-
-    __slots__ = ("a", "sums")
-
-    def __init__(self, a: tuple[tuple[int, ...], ...], sums) -> None:
-        self.a = a
-        self.sums = sums  # builders._digit_sums(k, r): (ds, w)
-
-    def __add__(self, other):
-        return _Classes(tuple(tuple(map(add, x, y)) for x, y in zip(self.a, other.a)), self.sums)
-
-    def __sub__(self, other):
-        return _Classes(tuple(tuple(map(sub, x, y)) for x, y in zip(self.a, other.a)), self.sums)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Classes(tuple(tuple(other * x for x in row) for row in self.a), self.sums)
-        w = self.sums[1]
-        cols = tuple(zip(*other.a))
-        return _Classes(
-            tuple(
-                tuple(sum(map(mul, weighted, col)) for col in cols)
-                for weighted in (tuple(map(mul, row, w)) for row in self.a)
-            ),
-            self.sums,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SquareMatrix):
-            return self.dense() == other
-        if not isinstance(other, _Classes):
-            return NotImplemented
-        return self.a == other.a
-
-    def dense(self) -> SquareMatrix:
-        return SquareMatrix._of(_spread(self.a, self.sums[0]))
-
-    def json_dict(self) -> dict:
-        """to_json_dict(self.dense()), converting each class value once."""
-        texts = [[decimal_text(x) for x in row] for row in self.a]
-        return {"dim": len(self.sums[0]), "entries": [list(row) for row in _spread(texts, self.sums[0])]}
-
-
-def _member(value, k: int, r: int, j: int) -> _Classes:
-    """Class table of the level-r member at index j of the order-k family
-    over the terms value(i)."""
-    return _Classes(_member_table(value, k, r, j), _digit_sums(k, r))
-
-
 def _level(p: CheckerParams):
     """Element evaluator and zero for the selected level; matrix members
-    are class tables, each built once per checker run."""
+    are w-scaled class tables (_member), each built once per checker run."""
     if p.r == 0:
         return (lambda i: term(p.k, i)), 0
     value = functools.partial(term, p.k)
@@ -265,7 +236,7 @@ def check_geometric(p: CheckerParams):
         if p.r == 0:
             yield {"n": n}, running, 2**n - X(k + n)
             continue
-        # the identity has no class table, so this reading stays dense
+        # the identity has no class table, so this side stays dense
         literal = (2**n) * identity(k**p.r) - build_higher(k, p.r, k + n)
         yield {"n": n, "reading": "literal-identity"}, running, literal, None, HOLDS
         readings = (
@@ -379,6 +350,7 @@ _Q = SquareMatrix([[1, 1], [1, 0]])
 _Q_INV = SquareMatrix([[0, 1], [1, -1]])  # exact integer inverse of _Q
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _q_power(j: int) -> SquareMatrix:
     return _Q**j if j >= 0 else _Q_INV ** (-j)
 

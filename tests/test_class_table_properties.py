@@ -1,12 +1,14 @@
 """Property tests for the class tables the identity checkers compute on.
 
 A level-r family member, and every sum, integer multiple and product of
-members, is held by identities._Classes as a table over digit-sum pairs.
-Each operation on tables of builder members, expanded to a matrix, must
-give the SquareMatrix that the same operation gives on the builders'
-dense matrices, at every order 2..4 and level with k^r <= 64; table
-equality must agree with matrix equality, and a table's report payload
-with the dense one.
+members, is held by identities._member as its w-scaled class table: a
+SquareMatrix over digit-sum pairs whose column v is scaled by w[v], the
+number of positions with digit sum v.  Each operation on tables of
+builder members, expanded through identities._entries, must give the
+SquareMatrix that the same operation gives on the builders' dense
+matrices, at every order 2..4 and level with k^r <= 64; table equality
+must agree with matrix equality, and a table's report payload with the
+dense one.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbonacci.builders import build_higher, build_lucas
-from kbonacci.identities import _member
-from kbonacci.matrix import to_json_dict
+from kbonacci.identities import FAILS, HOLDS, _case, _entries, _member, _serialize
+from kbonacci.matrix import identity, to_json_dict
 from kbonacci.sequences import lucas_term, term
 
 LEVELS = st.sampled_from([(k, r) for k in (2, 3, 4) for r in range(1, 7) if k**r <= 64])
@@ -32,18 +34,23 @@ def test_table_operations_match_dense_matrices(level, i, j, m, c):
     k, r = level
     A, B, C = (_member(partial(term, k), k, r, x) for x in (i, j, m))
     a, b, d = (build_higher(k, r, x) for x in (i, j, m))
-    assert A.dense() == a
-    assert (A + B).dense() == a + b
-    assert (A - B).dense() == a - b
-    assert (c * A).dense() == c * a
-    assert (A * c).dense() == a * c
-    assert (A * B).dense() == a * b
+
+    def dense(table):
+        return _entries(table, k, r)
+
+    assert A.dim == r * (k - 1) + 1
+    assert dense(A) == a.rows
+    assert dense(A + B) == (a + b).rows
+    assert dense(A - B) == (a - b).rows
+    assert dense(c * A) == (c * a).rows
+    assert dense(A * c) == (a * c).rows
+    assert dense(A * B) == (a * b).rows
     # products of products are no family members, and stay exact
-    assert ((A * B) * C - c * (C * A)).dense() == (a * b) * d - c * (d * a)
+    assert dense((A * B) * C - c * (C * A)) == ((a * b) * d - c * (d * a)).rows
     assert (A == B) == (a == b)
     assert (A * B == B * A) == (a * b == b * a)
-    assert (A * B == B * A) == (A * B == b * a)
-    assert (A * B).json_dict() == to_json_dict(a * b)
+    assert _serialize(A * B, k, r) == to_json_dict(a * b)
+    assert _serialize(a * b, k, r) == to_json_dict(a * b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -51,5 +58,28 @@ def test_table_operations_match_dense_matrices(level, i, j, m, c):
 def test_lucas_tables_match_the_lucas_builder(r, i, j):
     A, B = (_member(lucas_term, 2, r, x) for x in (i, j))
     a, b = build_lucas(r, i), build_lucas(r, j)
-    assert A.dense() == a
-    assert (A * B - 5 * B).dense() == a * b - 5 * b
+    assert _entries(A, 2, r) == a.rows
+    assert _entries(A * B - 5 * B, 2, r) == (a * b - 5 * b).rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 6), j=INDEX)
+def test_level_one_tables_are_the_dense_members(k, j):
+    assert _member(partial(term, k), k, 1, j).rows == build_higher(k, 1, j).rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=LEVELS, i=INDEX, j=INDEX)
+def test_table_against_dense_cases(level, i, j):
+    k, r = level
+    params = {"k": k, "r": r}
+    A, B = (_member(partial(term, k), k, r, x) for x in (i, j))
+    a, b = build_higher(k, r, i), build_higher(k, r, j)
+    assert _case("mixed", params, A, a).status == HOLDS
+    assert _case("mixed", params, A * B + A, a * b + a).status == HOLDS
+    # a + I differs from a at every level, so this case fails
+    off = a + identity(k**r)
+    case = _case("mixed", params, A, off)
+    assert case.status == FAILS
+    assert case.counterexample["lhs"] == to_json_dict(a)
+    assert case.counterexample["rhs"] == to_json_dict(off)
