@@ -21,11 +21,16 @@ from dataclasses import asdict, astuple, fields
 
 from . import bench as bench_mod
 from . import builders, matrix, sequences
-from .identities import SuiteGrid, json_chunks, jsonify, run_suite
+from .identities import SuiteGrid, SuiteRun, json_chunks, jsonify
 
 
 # largest matrix dimension (k^r, or 2^r for family L) that `matrix` builds
 MATRIX_DIM_CAP = 1024
+
+# largest order that `term`, `seq` and `blocks` take: a sequence starts
+# with k + 1 terms, about 25 bytes each, so `term --k ORDER_CAP --j 5`
+# peaks at about 250 MiB
+ORDER_CAP = 10**7
 
 
 class _UsageError(Exception):
@@ -145,7 +150,15 @@ def _csv_chunks(header, rows):
         buf.truncate()
 
 
+def _check_order(k) -> None:
+    """Refuse k > ORDER_CAP before any term is made; k < 2 is left to the
+    library's own check."""
+    if k > ORDER_CAP:
+        raise _UsageError(f"--k exceeds the order cap of {ORDER_CAP}")
+
+
 def _cmd_term(args) -> int:
+    _check_order(args.k)
     if args.method == "qpow":
         value = builders.fast_term(args.k, args.j)
     else:
@@ -161,6 +174,7 @@ def _cmd_term(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    _check_order(args.k)
     values = sequences.term_range(args.k, args.j_lo, args.j_hi)
     indices = range(args.j_lo, args.j_hi + 1)
     if args.format == "plain":
@@ -220,6 +234,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
+    _check_order(args.k)
     if args.count < 0:
         raise _UsageError("--count must be >= 0")
     sequences._validate_order(args.k)
@@ -255,43 +270,49 @@ def _cmd_blocks(args) -> int:
     return 0
 
 
-def _verify_plain(result):
-    """One line per case, then the status counts and the verdict."""
-    for case in result.cases:
+def _verify_plain(run):
+    """One line per case as it is made, then the status counts and the
+    verdict."""
+    for case in run:
         params = " ".join(f"{key}={case.params[key]}" for key in sorted(case.params))
         status = case.status
         if status == "fails":
             status = "fails (expected)" if case.reason is not None else "fails (UNEXPECTED)"
         yield f"{case.checker:20} {status:20} {params}\n"
-    counts = result.status_counts()
+    counts = run.counts
     yield (
         "\ncases: {total}  holds: {holds}  holds-corrected: {corrected}  "
         "fails: {fails} (unexpected: {unexpected})  skipped: {skipped}\n".format(
-            total=len(result.cases),
+            total=sum(counts.values()),
             holds=counts["holds"],
             corrected=counts["holds-corrected"],
             fails=counts["fails"],
-            unexpected=len(result.unexpected_failures()),
+            unexpected=run.unexpected,
             skipped=counts["skipped"],
         )
     )
-    yield f"pass: {'yes' if result.passed else 'no'}\n"
+    yield f"pass: {'yes' if run.passed else 'no'}\n"
 
 
 def _cmd_verify(args) -> int:
     flags = {f.name: getattr(args, f.name, None) for f in fields(SuiteGrid)}
     grid = SuiteGrid(**{name: value for name, value in flags.items() if value is not None})
     selection = None if args.suite.strip() == "all" else [s.strip() for s in args.suite.split(",") if s.strip()]
-    result = run_suite(selection, grid)
+    # checks the selection and the grid before anything is written
+    run = SuiteRun(selection, grid)
     if args.format == "plain":
-        chunks = _verify_plain(result)
+        chunks = _verify_plain(run)
     elif args.format == "json":
-        chunks = result.json_chunks()
+        chunks = run.json_chunks()
     else:
-        rows = ((c.checker, c.status, json.dumps(jsonify(c.params), sort_keys=True)) for c in result.cases)
+        rows = ((c.checker, c.status, json.dumps(jsonify(c.params), sort_keys=True)) for c in run)
         chunks = _csv_chunks(("id", "status", "params"), rows)
     _emit(chunks, args.output)
-    return 0 if result.passed else 1
+    # a reader that stops early, as `| head` does, leaves cases unmade;
+    # the verdict covers them too
+    for _ in run:
+        pass
+    return 0 if run.passed else 1
 
 
 def _cmd_bench(args) -> int:

@@ -27,6 +27,7 @@ reporting.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -147,15 +148,23 @@ def _checker(order: int | None = None, min_r: int = 0):
     """Register the case generator check_<id> as checker <id>.
 
     The generator yields (index params, lhs, rhs[, corrected[,
-    status-if-equal]]) per case, or (index params,) for a skipped case.
-    The registered checker rejects parameters outside its domain (order
-    `order` only, when given; levels r >= min_r), adds k and r to every
-    case's params and returns the checker's SuiteResult.  `order` and
-    `min_r` stay on the checker, where run_suite reads its grid from.
+    status-if-equal]]) per case, or (index params,) for a skipped case,
+    in _case_sort_key order: iter_suite merges the streams of the (k, r)
+    pairs as they come and raises on a case out of that order.  The
+    registered checker rejects parameters outside its domain (order
+    `order` only, when given; levels r >= min_r) and returns the
+    checker's SuiteResult.  `order` and `min_r` stay on the checker,
+    where iter_suite reads its grid from, and `stream(p)` yields the
+    cases one by one, with k and r added to every case's params.
     """
 
     def register(cases_of):
         checker_id = cases_of.__name__.removeprefix("check_")
+
+        def stream(p: CheckerParams):
+            for index, *sides in cases_of(p):
+                params = {"k": p.k, "r": p.r, **index}
+                yield _case(checker_id, params, *sides) if sides else CheckCase(checker_id, params, SKIPPED)
 
         @functools.wraps(cases_of)
         def check(p: CheckerParams) -> SuiteResult:
@@ -163,30 +172,37 @@ def _checker(order: int | None = None, min_r: int = 0):
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
                 raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
-            cases = []
-            for index, *sides in cases_of(p):
-                params = {"k": p.k, "r": p.r, **index}
-                if sides:
-                    cases.append(_case(checker_id, params, *sides))
-                else:
-                    cases.append(CheckCase(checker_id, params, SKIPPED))
-            return SuiteResult(checker_id, asdict(p), tuple(cases))
+            return SuiteResult(checker_id, asdict(p), tuple(stream(p)))
 
         check.order = order
         check.min_r = min_r
+        check.stream = stream
         CHECKERS[checker_id] = check
         return check
 
     return register
 
 
+# Members a checker run keeps.  iter_suite runs all (k, r) pairs of a
+# checker at once, so unbounded caches would hold every member of the j
+# range at every level together: `verify --suite
+# double_shift,power_expansion,strided_sum --max-j 6000` peaked at 336 MiB
+# RSS so, and at 116 MiB with this bound (2-vCPU VM, Python 3.11.7).  A
+# run reuses about k*m_max members (strided_sum, congruence_sum), n_max
+# (square_series) or 2*(j_max - j_min) (addition_formula); past the bound
+# it rebuilds them.
+MEMBER_CACHE_SIZE = 256
+_members = functools.lru_cache(maxsize=MEMBER_CACHE_SIZE)
+
+
 def _level(p: CheckerParams):
     """Element evaluator and zero for the selected level; matrix members
-    are w-scaled class tables (_member), each built once per checker run."""
+    are w-scaled class tables (_member), the last MEMBER_CACHE_SIZE of
+    them kept per checker run."""
     if p.r == 0:
         return (lambda i: term(p.k, i)), 0
     value = functools.partial(term, p.k)
-    return functools.cache(lambda i: _member(value, p.k, p.r, i)), _member(lambda i: 0, p.k, p.r, 0)
+    return _members(lambda i: _member(value, p.k, p.r, i)), _member(lambda i: 0, p.k, p.r, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +252,12 @@ def check_geometric(p: CheckerParams):
         if p.r == 0:
             yield {"n": n}, running, 2**n - X(k + n)
             continue
+        yield {"n": n, "reading": "corrected"}, running, (2**n) * X(k) - X(k + n), None, HOLDS_CORRECTED
         # the identity has no class table, so this side stays dense
         literal = (2**n) * identity(k**p.r) - build_higher(k, p.r, k + n)
         yield {"n": n, "reading": "literal-identity"}, running, literal, None, HOLDS
-        readings = (
-            ("literal-ones", _member(lambda i: 1, k, p.r, 0), HOLDS),
-            ("corrected", X(k), HOLDS_CORRECTED),
-        )
-        for reading, constant, status in readings:
-            yield {"n": n, "reading": reading}, running, (2**n) * constant - X(k + n), None, status
+        ones = (2**n) * _member(lambda i: 1, k, p.r, 0) - X(k + n)
+        yield {"n": n, "reading": "literal-ones"}, running, ones, None, HOLDS
 
 
 @_checker()
@@ -321,11 +334,8 @@ def check_power_expansion(p: CheckerParams):
     valid for 1 <= n <= k-1; out-of-range n is reported as skipped."""
     X, zero = _level(p)
     k = p.k
-    for n in range(1, min(p.n_max, k) + 1):
-        if n > k - 1:
-            yield ({"n": n, "note": "requires 1 <= n <= k-1"},)
-            continue
-        for j in range(p.j_min, p.j_max + 1):
+    for j in range(p.j_min, p.j_max + 1):
+        for n in range(1, min(p.n_max, k - 1) + 1):
             back = zero
             for i in range(1, k - n + 1):
                 back = back + X(j - i)
@@ -333,6 +343,9 @@ def check_power_expansion(p: CheckerParams):
             for i in range(0, n):
                 rhs = rhs + (2**n - 2**i) * X(j - k + n - 1 - i)
             yield {"n": n, "j": j}, X(j + n), rhs
+    # a skipped case has no j, so it sorts after the others
+    if p.n_max >= k:
+        yield ({"n": k, "note": "requires 1 <= n <= k-1"},)
 
 
 @_checker(min_r=1)
@@ -367,7 +380,7 @@ def _fib_pair(cases_of):
     @functools.wraps(cases_of)
     def cases(p: CheckerParams):
         F, _ = _level(p)
-        L = lucas_term if p.r == 0 else functools.cache(lambda i: _member(lucas_term, 2, p.r, i))
+        L = lucas_term if p.r == 0 else _members(lambda i: _member(lucas_term, 2, p.r, i))
         main = cases_of(p, F, L)
         if p.r != 1:
             yield from main
@@ -395,8 +408,9 @@ def check_lucas_pair(p: CheckerParams, F, L):
     """Two linear pair identities: L(s) + L(s+2) against 5*F(s+1), and
     F(s) + F(s+2) against L(s+1)."""
     for s in range(p.j_min, p.j_max + 1):
-        yield {"s": s, "part": "lucas-sum"}, L(s) + L(s + 2), 5 * F(s + 1)
         yield {"s": s, "part": "fib-sum"}, F(s) + F(s + 2), L(s + 1)
+    for s in range(p.j_min, p.j_max + 1):
+        yield {"s": s, "part": "lucas-sum"}, L(s) + L(s + 2), 5 * F(s + 1)
 
 
 @_fib_pair
@@ -541,15 +555,7 @@ class SuiteResult:
         return counts
 
     def _report(self, include_timestamp: bool) -> dict:
-        """The report's fields; the cases as a generator, one dict each."""
-        cases = (
-            {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample}
-            for c in self.cases
-        )
-        report = {"suite": self.suite, "grid": self.grid, "cases": cases, "pass": self.passed}
-        if include_timestamp:
-            report["generated_at"] = self.generated_at
-        return report
+        return _report(self.suite, self.grid, self.cases, self.passed, self.generated_at if include_timestamp else None)
 
     def to_json_dict(self, include_timestamp: bool = True) -> dict:
         return jsonify(self._report(include_timestamp))
@@ -562,6 +568,19 @@ class SuiteResult:
         """The report as json.dumps(to_json_dict(...), indent=2,
         sort_keys=True) writes it."""
         return "".join(self.json_chunks(include_timestamp))
+
+
+def _report(suite: str, grid: dict, cases, passed, generated_at: str | None) -> dict:
+    """A report's fields; the cases as a generator, one dict each.  passed
+    is the verdict, or a function that json_chunks calls for it after it
+    has written the cases.  generated_at None leaves the timestamp out."""
+    case_dicts = (
+        {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample} for c in cases
+    )
+    report = {"suite": suite, "grid": grid, "cases": case_dicts, "pass": passed}
+    if generated_at is not None:
+        report["generated_at"] = generated_at
+    return report
 
 
 def jsonify(value):
@@ -586,7 +605,9 @@ def json_chunks(value, quote_ints: bool = True):
     lists, and None, booleans and strings pass through.  quote_ints=False
     writes ints as JSON numbers instead.  Finite floats are written as
     float.__repr__ writes them, and a generator as a list, one item at a
-    time.  Dictionary keys must be strings.
+    time, each item in one chunk.  A function stands for the value it
+    returns, called when that value is written, after the keys that sort
+    before it.  Dictionary keys must be strings.
     """
     return _chunks(value, "\n", quote_ints)
 
@@ -629,11 +650,17 @@ def _chunks(value, newline: str, quote_ints: bool):
             yield "[" + inner + sep.join(map(_quote, value)) + newline + "]"
             return
         items = (("", v) for v in value)
+    elif callable(value):
+        yield from _chunks(value(), newline, quote_ints)
+        return
     else:
         raise TypeError(f"cannot serialize {value!r}")
     opening = brackets[0] + inner
+    whole = isinstance(value, GeneratorType)
     for head, item in items:
         text = _scalar_json(item, quote_ints)
+        if text is None and whole:
+            text = "".join(_chunks(item, inner, quote_ints))
         if text is None:
             yield opening + head
             yield from _chunks(item, inner, quote_ints)
@@ -673,6 +700,77 @@ def resolve_selection(selection) -> tuple[str, ...]:
     return tuple(i for i in CHECKER_IDS if i in picked)
 
 
+def iter_suite(selection=None, grid: SuiteGrid | None = None):
+    """The cases of the selected checkers over the grid in report order
+    (by _case_sort_key), each made when it is asked for.
+
+    The selection, the grid and every CheckerParams are checked here,
+    before the first case is made.  Checkers run in id order, and each
+    checker's per-(k, r) streams, each already in report order, are
+    merged as they come.  A case that does not sort strictly after the
+    one before it, out of order or a duplicate, is a library defect and
+    raises.
+    """
+    grid = grid or SuiteGrid()
+    bounds = (grid.n_max, grid.m_max, grid.j_min, grid.j_max)
+    runs = []
+    for checker_id in sorted(resolve_selection(selection)):
+        checker = CHECKERS[checker_id]
+        runs.append((checker.stream, [CheckerParams(k, r, *bounds) for k, r in _combos(checker, grid)]))
+    return _in_report_order(runs)
+
+
+def _keyed(cases, tiebreak: int):
+    # the tiebreak keeps heapq.merge from comparing two cases of one key
+    for case in cases:
+        yield _case_sort_key(case), tiebreak, case
+
+
+def _in_report_order(runs):
+    last = ()
+    for stream, params in runs:
+        for key, _, case in heapq.merge(*(_keyed(stream(p), n) for n, p in enumerate(params))):
+            if key <= last:
+                raise RuntimeError(
+                    f"{case.checker} case {case.params} does not sort after the case before it; "
+                    "this is a library defect, not an identity failure"
+                )
+            last = key
+            yield case
+
+
+class SuiteRun:
+    """One pass over iter_suite's cases for a writer that streams them:
+    the report's fields, and the status counts and verdict of the cases
+    iterated so far."""
+
+    def __init__(self, selection=None, grid: SuiteGrid | None = None) -> None:
+        grid = grid or SuiteGrid()
+        ids = resolve_selection(selection)
+        self.suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids) or "none"
+        self.grid = asdict(grid)
+        self.generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        self.counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}
+        self.unexpected = 0
+        self._cases = iter_suite(ids, grid)
+
+    def __iter__(self):
+        for case in self._cases:
+            self.counts[case.status] += 1
+            if case.status == FAILS and case.reason is None:
+                self.unexpected += 1
+            yield case
+
+    @property
+    def passed(self) -> bool:
+        return not self.unexpected
+
+    def json_chunks(self):
+        """The report's text in chunks, each case written as it is made
+        and the verdict after them."""
+        return json_chunks(_report(self.suite, self.grid, self, lambda: self.passed, self.generated_at))
+
+
 def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
     """Run the selected checkers over the grid and aggregate all cases.
 
@@ -680,28 +778,6 @@ def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
     holds-corrected, skipped, and documented expected failures all count
     as success.
     """
-    grid = grid or SuiteGrid()
-    ids = resolve_selection(selection)
-    cases: list[CheckCase] = []
-    for checker_id in ids:
-        checker = CHECKERS[checker_id]
-        for k, r in _combos(checker, grid):
-            p = CheckerParams(
-                k=k,
-                r=r,
-                n_max=grid.n_max,
-                m_max=grid.m_max,
-                j_min=grid.j_min,
-                j_max=grid.j_max,
-            )
-            cases.extend(checker(p).cases)
-    cases.sort(key=_case_sort_key)
-    suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids)
-    if not ids:
-        suite = "none"
-    return SuiteResult(
-        suite=suite,
-        grid=asdict(grid),
-        cases=tuple(cases),
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+    run = SuiteRun(selection, grid)
+    cases = tuple(run)
+    return SuiteResult(run.suite, run.grid, cases, run.generated_at)

@@ -225,6 +225,36 @@ def test_matrix_dimension_cap_admits_the_cap(capsys, monkeypatch):
     assert built == [(2, 10, 1), (32, 2, 1), (10, 1), (1024, 1)]
 
 
+def test_order_cap_exits_2_without_allocating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no sequence may be made past the order cap")
+
+    monkeypatch.setattr(sequences, "KbonacciSequence", refuse)
+    monkeypatch.setattr(builders, "fast_term", refuse)
+    for k in (cli.ORDER_CAP + 1, 10**100):
+        for argv in (
+            ("term", "--k", str(k), "--j", "5"),
+            ("term", "--k", str(k), "--j", "5", "--method", "qpow"),
+            ("seq", "--k", str(k), "--from", "0", "--to", "3"),
+            ("blocks", "--k", str(k), "--count", "1"),
+            ("blocks", "--k", str(k), "--count", "0"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: --k exceeds the order cap of {cli.ORDER_CAP}\n", argv
+
+
+def test_order_cap_admits_the_cap(capsys, monkeypatch):
+    assert cli.ORDER_CAP == 10**7
+    monkeypatch.setattr(sequences, "term", lambda k, j: k)
+    monkeypatch.setattr(sequences, "term_range", lambda k, lo, hi: [k] * (hi - lo + 1))
+    k = str(cli.ORDER_CAP)
+    assert run_cli(capsys, "term", "--k", k, "--j", "5") == (0, k + "\n", "")
+    code, out, _ = run_cli(capsys, "seq", "--k", k, "--from", "0", "--to", "0", "--format", "csv")
+    assert (code, out) == (0, f'"j","value"\n"0","{k}"\n')
+    assert run_cli(capsys, "blocks", "--k", k, "--count", "0")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -375,6 +405,56 @@ def test_verify_unexpected_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "fails (UNEXPECTED)" in out
     assert out.rstrip().endswith("pass: no")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_unexpected_failure_exits_1_in_every_format(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("kbonacci.identities.expected_reason", lambda *a, **k: None)
+    code, out, _ = run_cli(capsys, *VERIFY_SMALL, "--format", fmt)
+    assert code == 1
+    if fmt == "plain":
+        assert out.endswith("fails: 24 (unexpected: 24)  skipped: 0\npass: no\n")
+    elif fmt == "json":
+        assert '\n  "pass": false,\n' in out and json.loads(out)["pass"] is False
+    else:
+        assert sum(row[1] == "fails" for row in parse_csv(out)) == 24
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_failing_mid_stream_leaves_no_file(capsys, monkeypatch, tmp_path, fmt):
+    from kbonacci.identities import CHECKERS
+
+    checker = CHECKERS["fl_double"]
+    stream = checker.stream
+
+    def first_case_then_fail(p):
+        yield next(stream(p))
+        raise MemoryError
+
+    monkeypatch.setattr(checker, "stream", first_case_then_fail)
+    target = tmp_path / f"report.{fmt}"
+    code, out, err = run_cli(capsys, *VERIFY_SMALL, "--format", fmt, "--output", str(target))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not target.exists()
+
+
+def test_verify_verdict_covers_the_cases_after_the_reader_stops(monkeypatch, tmp_path):
+    monkeypatch.setattr("kbonacci.identities.expected_reason", lambda *a, **k: None)
+    sink = open(tmp_path / "sink", "w")
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return sink.fileno()
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        # the first case written holds; failures come later in the stream
+        assert main(list(VERIFY_SMALL)) == 1
+    finally:
+        sink.close()
 
 
 def test_verify_output_file(capsys, tmp_path):

@@ -1,0 +1,126 @@
+"""The identity suite as a stream: iter_suite yields the cases in report
+order as they are made, and run_suite is that stream collected."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbonacci.identities import (
+    CHECKER_IDS,
+    CHECKERS,
+    CheckerParams,
+    SuiteGrid,
+    _case_sort_key,
+    _combos,
+    iter_suite,
+    run_suite,
+)
+
+DEFAULT = SuiteGrid()
+DENSE = SuiteGrid(max_k=4, max_r=3, dim_cap=64)
+
+
+def streams(grid):
+    """Each registered checker's per-(k, r) case lists over the grid."""
+    bounds = (grid.n_max, grid.m_max, grid.j_min, grid.j_max)
+    for checker_id in CHECKER_IDS:
+        checker = CHECKERS[checker_id]
+        for k, r in _combos(checker, grid):
+            yield (checker_id, k, r), list(checker.stream(CheckerParams(k, r, *bounds)))
+
+
+def collected_and_sorted(grid):
+    """The suite's cases as they were made before the stream: every
+    checker run collected, then all sorted by _case_sort_key."""
+    cases = [case for _, stream in streams(grid) for case in stream]
+    return sorted(cases, key=_case_sort_key)
+
+
+@pytest.mark.parametrize("grid", [DEFAULT, DENSE], ids=["default", "dense"])
+def test_every_stream_is_strictly_sorted_and_the_suite_is_their_merge(grid):
+    everything = []
+    for where, stream in streams(grid):
+        keys = [_case_sort_key(case) for case in stream]
+        assert all(a < b for a, b in zip(keys, keys[1:])), where
+        everything += stream
+    assert tuple(iter_suite(None, grid)) == tuple(sorted(everything, key=_case_sort_key))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    max_k=st.integers(2, 4),
+    max_r=st.integers(1, 3),
+    dim_cap=st.integers(2, 27),
+    extra_fib_level=st.none() | st.integers(1, 4),
+    n_max=st.integers(1, 4),
+    m_max=st.integers(1, 3),
+    j_min=st.integers(-4, 2),
+    span=st.integers(0, 4),
+)
+def test_iter_suite_equals_collect_then_sort_on_small_grids(
+    max_k, max_r, dim_cap, extra_fib_level, n_max, m_max, j_min, span
+):
+    grid = SuiteGrid(max_k, max_r, n_max, m_max, j_min, j_min + span, dim_cap, extra_fib_level)
+    assert list(iter_suite(None, grid)) == collected_and_sorted(grid)
+
+
+def test_run_suite_is_the_collected_stream():
+    grid = SuiteGrid(max_k=3, n_max=4, m_max=3, j_min=-2, j_max=3)
+    selection = ["power_expansion", "geometric", "lucas_pair"]
+    result = run_suite(selection, grid)
+    assert result.cases == tuple(iter_suite(selection, grid))
+    # the suite is named in registry order
+    assert result.suite == "geometric,power_expansion,lucas_pair"
+
+
+def test_iter_suite_checks_its_arguments_before_any_case(monkeypatch):
+    def refuse(p):
+        raise AssertionError("a case was made")
+
+    for checker_id in CHECKER_IDS:
+        monkeypatch.setattr(CHECKERS[checker_id], "stream", refuse)
+    with pytest.raises(ValueError, match="unknown checker ids: bogus"):
+        iter_suite(["fl_double", "bogus"])
+    # a valid call makes nothing until it is iterated
+    cases = iter_suite()
+    with pytest.raises(AssertionError, match="a case was made"):
+        next(cases)
+
+
+@pytest.mark.parametrize(
+    "disorder",
+    [
+        pytest.param(lambda cases: reversed(list(cases)), id="reversed"),
+        pytest.param(lambda cases: (case for case in cases for _ in range(2)), id="duplicated"),
+    ],
+)
+def test_a_stream_out_of_report_order_raises(monkeypatch, disorder):
+    checker = CHECKERS["fl_double"]
+    stream = checker.stream
+    monkeypatch.setattr(checker, "stream", lambda p: disorder(stream(p)))
+    grid = SuiteGrid(j_min=0, j_max=3)
+    with pytest.raises(RuntimeError, match="does not sort after the case before it"):
+        list(iter_suite(["double_shift", "fl_double"], grid))
+
+
+def test_streamed_cases_are_not_kept():
+    # strided_sum's two (k, r) streams of 13 * 251 cases each; collected,
+    # they peak at about 2 MiB under tracemalloc, streamed at 0.2 MiB,
+    # which is mostly the order-2 term window filled to j = 263
+    grid = SuiteGrid(max_k=2, max_r=1, extra_fib_level=None, j_max=250)
+
+    def peak_mib(drain):
+        tracemalloc.start()
+        try:
+            drain()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak_mib(lambda: sum(1 for _ in iter_suite(["strided_sum"], grid)))
+    collected = peak_mib(lambda: run_suite(["strided_sum"], grid))
+    assert streamed < 0.5 < 1.5 < collected
