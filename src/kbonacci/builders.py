@@ -23,6 +23,7 @@ entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import chain
 from operator import mul
 
 from .matrix import SquareMatrix, _require_int
@@ -74,7 +75,8 @@ def _layout(value, k: int, r: int, j: int) -> SquareMatrix:
     """Level-r member at index j of the order-k family over the terms
     value(i): entry (R, C), 0-based, holds value(j + r(k-1) - ds(R) - ds(C)),
     where ds is the base-k digit sum."""
-    return SquareMatrix._of(_spread(_member_table(value, k, r, j), _digit_sums(k, r)[0]))
+    rows = _spread(_member_table(value, k, r, j), _digit_sums(k, r)[0])
+    return SquareMatrix._of(tuple(chain.from_iterable(rows)), len(rows))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -108,15 +110,12 @@ def build_q(k: int, r: int) -> SquareMatrix:
     _validate_level(r)
     inner = k ** (r - 1)
     dim = k * inner
-    return SquareMatrix._of(
-        tuple(
-            tuple(
-                1 if R % inner == C % inner and (C < inner or C // inner == R // inner + 1) else 0
-                for C in range(dim)
-            )
-            for R in range(dim)
-        )
+    flat = tuple(
+        1 if R % inner == C % inner and (C < inner or C // inner == R // inner + 1) else 0
+        for R in range(dim)
+        for C in range(dim)
     )
+    return SquareMatrix._of(flat, dim)
 
 
 def fast_f(k: int, r: int, j: int) -> SquareMatrix:
@@ -134,12 +133,9 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
     _require_int("index", j, 1)
     q_cols = tuple(zip(*(build_q(k, 1) ** (j - 1)).rows))
     inner = k ** (r - 1)
-    return SquareMatrix._of(
-        tuple(
-            tuple(sum(map(mul, col, row[t::inner])) for col in q_cols for t in range(inner))
-            for row in build_higher(k, r, 1).rows
-        )
-    )
+    rows = build_higher(k, r, 1).rows
+    flat = (sum(map(mul, col, row[t::inner])) for row in rows for col in q_cols for t in range(inner))
+    return SquareMatrix._of(tuple(flat), k * inner)
 
 
 def fast_term(k: int, j: int) -> int:

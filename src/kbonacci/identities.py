@@ -31,6 +31,7 @@ import heapq
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import mul
 from types import GeneratorType
@@ -99,7 +100,8 @@ def _member(value, k: int, r: int, j: int) -> SquareMatrix:
     equal exactly when their members are.  At r = 1 the table is the
     dense member."""
     w = _digit_sums(k, r)[1]
-    return SquareMatrix._of(tuple(tuple(map(mul, row, w)) for row in _member_table(value, k, r, j)))
+    flat = chain.from_iterable(map(mul, row, w) for row in _member_table(value, k, r, j))
+    return SquareMatrix._of(tuple(flat), len(w))
 
 
 def _entries(m: SquareMatrix, k: int, r: int, cell=int):
@@ -153,9 +155,10 @@ def _checker(order: int | None = None, min_r: int = 0):
     pairs as they come and raises on a case out of that order.  The
     registered checker rejects parameters outside its domain (order
     `order` only, when given; levels r >= min_r) and returns the
-    checker's SuiteResult.  `order` and `min_r` stay on the checker,
-    where iter_suite reads its grid from, and `stream(p)` yields the
-    cases one by one, with k and r added to every case's params.
+    SuiteResult of a suite run of its own.  `order` and `min_r` stay on
+    the checker, where iter_suite reads its grid from, and `stream(p)`
+    yields the cases one by one, with k and r added to every case's
+    params.
     """
 
     def register(cases_of):
@@ -172,7 +175,7 @@ def _checker(order: int | None = None, min_r: int = 0):
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
                 raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
-            return SuiteResult(checker_id, asdict(p), tuple(stream(p)))
+            return SuiteResult(checker_id, asdict(p), tuple(_in_report_order([(stream, [p])])))
 
         check.order = order
         check.min_r = min_r
@@ -183,26 +186,24 @@ def _checker(order: int | None = None, min_r: int = 0):
     return register
 
 
-# Members a checker run keeps.  iter_suite runs all (k, r) pairs of a
-# checker at once, so unbounded caches would hold every member of the j
-# range at every level together: `verify --suite
-# double_shift,power_expansion,strided_sum --max-j 6000` peaked at 336 MiB
-# RSS so, and at 116 MiB with this bound (2-vCPU VM, Python 3.11.7).  A
-# run reuses about k*m_max members (strided_sum, congruence_sum), n_max
-# (square_series) or 2*(j_max - j_min) (addition_formula); past the bound
-# it rebuilds them.
-MEMBER_CACHE_SIZE = 256
-_members = functools.lru_cache(maxsize=MEMBER_CACHE_SIZE)
+# Members one suite run keeps, shared by all its checkers: a default-grid
+# run reads 514 distinct ones and builds each once.  The bound caps deep
+# grids' memory and holds the window of about k*m_max members that each of
+# a checker's (k, r) streams reads while iter_suite steps them together.
+MEMBER_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=MEMBER_CACHE_SIZE)
+def _members(family: str, k: int, r: int, j: int) -> SquareMatrix:
+    """_member of family "F" (order-k terms) or "L" (Lucas terms, k = 2)."""
+    return _member(lucas_term if family == "L" else functools.partial(term, k), k, r, j)
 
 
 def _level(p: CheckerParams):
-    """Element evaluator and zero for the selected level; matrix members
-    are w-scaled class tables (_member), the last MEMBER_CACHE_SIZE of
-    them kept per checker run."""
+    """Element evaluator and zero for the level: terms, or cached F members."""
     if p.r == 0:
-        return (lambda i: term(p.k, i)), 0
-    value = functools.partial(term, p.k)
-    return _members(lambda i: _member(value, p.k, p.r, i)), _member(lambda i: 0, p.k, p.r, 0)
+        return functools.partial(term, p.k), 0
+    return functools.partial(_members, "F", p.k, p.r), _member(lambda i: 0, p.k, p.r, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +381,7 @@ def _fib_pair(cases_of):
     @functools.wraps(cases_of)
     def cases(p: CheckerParams):
         F, _ = _level(p)
-        L = lucas_term if p.r == 0 else _members(lambda i: _member(lucas_term, 2, p.r, i))
+        L = lucas_term if p.r == 0 else functools.partial(_members, "L", 2, p.r)
         main = cases_of(p, F, L)
         if p.r != 1:
             yield from main
@@ -727,16 +728,22 @@ def _keyed(cases, tiebreak: int):
 
 
 def _in_report_order(runs):
+    """The cases of one suite run, which starts and ends with no member
+    cached, so that no run reads the members of another."""
+    _members.cache_clear()
     last = ()
-    for stream, params in runs:
-        for key, _, case in heapq.merge(*(_keyed(stream(p), n) for n, p in enumerate(params))):
-            if key <= last:
-                raise RuntimeError(
-                    f"{case.checker} case {case.params} does not sort after the case before it; "
-                    "this is a library defect, not an identity failure"
-                )
-            last = key
-            yield case
+    try:
+        for stream, params in runs:
+            for key, _, case in heapq.merge(*(_keyed(stream(p), n) for n, p in enumerate(params))):
+                if key <= last:
+                    raise RuntimeError(
+                        f"{case.checker} case {case.params} does not sort after the case before it; "
+                        "this is a library defect, not an identity failure"
+                    )
+                last = key
+                yield case
+    finally:
+        _members.cache_clear()
 
 
 class SuiteRun:

@@ -1,13 +1,15 @@
 """Dense square matrices over Python's arbitrary-precision integers.
 
 Immutable values with exact ring arithmetic: no floats, no modular
-reduction, no overflow.  Block composition and decomposition support the
-recursive matrix families built elsewhere in the package.
+reduction, no overflow, and entries in one flat row-major tuple.  Block
+composition and decomposition support the recursive matrix families
+built elsewhere in the package.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from operator import add, mul, neg, sub
 
 
@@ -24,14 +26,16 @@ def _require_int(name: str, value, minimum: int | None) -> None:
 
 
 class SquareMatrix:
-    """Immutable n-by-n integer matrix.
+    """Immutable n-by-n integer matrix: n and the entries in one row-major
+    tuple, flat[i*n + j] at (i, j), so +, -, negation and scale are one map,
+    and * reads rows as slices flat[i*n:(i+1)*n] and columns as flat[j::n].
 
-    The constructor checks every entry, so it is for input from outside
-    the package; results the package computes itself are wrapped
-    unchecked by _of.
+    The constructor takes rows and checks every entry, so it is for input
+    from outside the package; the package wraps its own results unchecked
+    with _of.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_n", "_flat")
 
     def __init__(self, rows) -> None:
         rows = tuple(tuple(row) for row in rows)
@@ -44,14 +48,15 @@ class SquareMatrix:
             for entry in row:
                 if not _is_int(entry):
                     raise ValueError(f"entries must be integers, got {entry!r}")
-        object.__setattr__(self, "_rows", rows)
+        _set_n(self, n)
+        _set_flat(self, tuple(chain.from_iterable(rows)))
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "SquareMatrix":
-        """Wrap rows, a non-empty tuple of equal-length tuples of ints,
-        without checking them."""
+    def _of(cls, flat: tuple[int, ...], n: int) -> "SquareMatrix":
+        """Wrap flat, n*n ints in a row-major tuple (n >= 1), unchecked."""
         m = object.__new__(cls)
-        object.__setattr__(m, "_rows", rows)
+        _set_n(m, n)
+        _set_flat(m, flat)
         return m
 
     def __setattr__(self, name, value):
@@ -59,56 +64,54 @@ class SquareMatrix:
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return self._n
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
+        flat, n = self._flat, self._n
+        return tuple(flat[i : i + n] for i in range(0, n * n, n))
 
     def entry(self, i: int, j: int) -> int:
-        """Entry at row i, column j, 0-based."""
-        return self._rows[i][j]
+        """Entry at row i, column j, 0-based (negative counts from the end)."""
+        return self._flat[range(self._n)[i] * self._n + range(self._n)[j]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        # n*n entries fix n, so equal tuples mean equal dimensions
+        return self._flat == other._flat
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._flat)
 
     def __repr__(self) -> str:
-        rows = ", ".join(f"[{', '.join(map(decimal_text, row))}]" for row in self._rows)
+        rows = ", ".join(f"[{', '.join(map(decimal_text, row))}]" for row in self.rows)
         return f"SquareMatrix([{rows}])"
 
     def _check_dim(self, other: "SquareMatrix") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if self._n != other._n:
+            raise ValueError(f"dimension mismatch: {self._n} vs {other._n}")
 
     def __add__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_dim(other)
-        return SquareMatrix._of(
-            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
+        return SquareMatrix._of(tuple(map(add, self._flat, other._flat)), self._n)
 
     def __sub__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_dim(other)
-        return SquareMatrix._of(
-            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
+        return SquareMatrix._of(tuple(map(sub, self._flat, other._flat)), self._n)
 
     def __neg__(self):
-        return SquareMatrix._of(tuple(tuple(map(neg, row)) for row in self._rows))
+        return SquareMatrix._of(tuple(map(neg, self._flat)), self._n)
 
     def scale(self, c: int) -> "SquareMatrix":
         """Scalar multiple c * self."""
         if not _is_int(c):
             raise ValueError(f"scalar must be an integer, got {c!r}")
-        return SquareMatrix._of(tuple(tuple(c * a for a in row) for row in self._rows))
+        return SquareMatrix._of(tuple(map(mul, repeat(c), self._flat)), self._n)
 
     def __mul__(self, other):
         if _is_int(other):
@@ -116,10 +119,10 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_dim(other)
-        cols = tuple(zip(*other._rows))
-        return SquareMatrix._of(
-            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self._rows)
-        )
+        a, b, n = self._flat, other._flat, self._n
+        rows = [a[i : i + n] for i in range(0, n * n, n)]
+        cols = [b[j::n] for j in range(n)]
+        return SquareMatrix._of(tuple(sum(map(mul, row, col)) for row in rows for col in cols), n)
 
     def __rmul__(self, other):
         if _is_int(other):
@@ -139,23 +142,25 @@ class SquareMatrix:
         return result
 
     def is_symmetric(self) -> bool:
-        rows = self._rows
-        n = len(rows)
-        return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+        flat, n = self._flat, self._n
+        return all(flat[i * n : (i + 1) * n] == flat[i::n] for i in range(n))
+
+
+# the slots' own setters, past the __setattr__ that keeps a matrix immutable
+_set_n = SquareMatrix._n.__set__
+_set_flat = SquareMatrix._flat.__set__
 
 
 def identity(dim: int) -> SquareMatrix:
     """Identity matrix of the given dimension."""
     _require_int("dimension", dim, 1)
-    return SquareMatrix._of(
-        tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    )
+    return SquareMatrix._of(tuple(1 if i == j else 0 for i in range(dim) for j in range(dim)), dim)
 
 
 def zeros(dim: int) -> SquareMatrix:
     """Zero matrix of the given dimension."""
     _require_int("dimension", dim, 1)
-    return SquareMatrix._of(((0,) * dim,) * dim)
+    return SquareMatrix._of((0,) * (dim * dim), dim)
 
 
 def compose(blocks) -> SquareMatrix:
@@ -174,29 +179,27 @@ def compose(blocks) -> SquareMatrix:
                 raise ValueError("blocks must be SquareMatrix values")
             if b.dim != inner:
                 raise ValueError(f"block dimension mismatch: {b.dim} vs {inner}")
-    rows = []
+    flat = []
     for block_row in blocks:
-        for i in range(inner):
-            merged = []
+        for i in range(0, inner * inner, inner):
             for b in block_row:
-                merged.extend(b.rows[i])
-            rows.append(tuple(merged))
-    return SquareMatrix._of(tuple(rows))
+                flat.extend(b._flat[i : i + inner])
+    return SquareMatrix._of(tuple(flat), k * inner)
 
 
 def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
     """Split m into a k-by-k grid of equal square blocks; inverse of compose."""
     _require_int("grid size", k, 1)
-    if m.dim % k != 0:
-        raise ValueError(f"dimension {m.dim} is not divisible by {k}")
-    inner = m.dim // k
-    grid = []
-    for bi in range(k):
-        band = m.rows[bi * inner : (bi + 1) * inner]
-        grid.append(
-            [SquareMatrix._of(tuple(row[bj * inner : (bj + 1) * inner] for row in band)) for bj in range(k)]
-        )
-    return grid
+    n = m.dim
+    if n % k != 0:
+        raise ValueError(f"dimension {n} is not divisible by {k}")
+    inner = n // k
+    rows, starts = m.rows, range(0, n, inner)
+
+    def block(top: int, left: int) -> SquareMatrix:
+        return SquareMatrix._of(tuple(x for row in rows[top : top + inner] for x in row[left : left + inner]), inner)
+
+    return [[block(top, left) for left in starts] for top in starts]
 
 
 # up to LEAF_DIGITS digits, under 640 (the lowest digit limit Python

@@ -19,7 +19,6 @@ runs of nearby reads cost a step each.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -150,8 +149,8 @@ class KbonacciSequence:
     from the window, a frame with no size limit that grows on demand in
     both directions; a term beyond the cap comes from the bounded frame on
     its side, so the window never grows past the cap (term_range may take
-    it k further).  All access goes through a lock so concurrent readers
-    stay consistent.
+    it k further).  A sequence object is not thread-safe: a read may step
+    or replace its frames.
     """
 
     def __init__(self, k: int) -> None:
@@ -161,7 +160,6 @@ class KbonacciSequence:
         # k + 1 terms from index 0, so the double-shift law applies from the start
         self._window = _Frame(0, [*self._seeds, sum(self._seeds)], maxlen=None)
         self._frames: dict[int, _Frame] = {}  # by side of the window, 1 or -1
-        self._lock = threading.Lock()
 
     @staticmethod
     def _seed_values(k: int) -> tuple[int, ...]:
@@ -206,16 +204,14 @@ class KbonacciSequence:
         return sum(c * s for c, s in zip(coeffs, self._seeds) if s)
 
     def term(self, j: int) -> int:
-        with self._lock:
-            return self._store(j).get(j)
+        return self._store(j).get(j)
 
     def term_range(self, j_lo: int, j_hi: int) -> list[int]:
         if j_lo > j_hi:
             raise ValueError(f"empty range: {j_lo} > {j_hi}")
         k = self._k
-        with self._lock:
-            store = self._store(j_lo)
-            values = [store.get(j) for j in range(j_lo, min(j_hi, j_lo + k) + 1)]
+        store = self._store(j_lo)
+        values = [store.get(j) for j in range(j_lo, min(j_hi, j_lo + k) + 1)]
         while len(values) < j_hi - j_lo + 1:
             values.append(2 * values[-1] - values[-1 - k])
         return values
@@ -233,17 +229,15 @@ class LucasSequence(KbonacciSequence):
 
 
 _registry: dict[int, KbonacciSequence] = {}
-_registry_lock = threading.Lock()
 _lucas = LucasSequence()
 
 
 def _shared(k: int) -> KbonacciSequence:
     _validate_order(k)
-    with _registry_lock:
-        seq = _registry.get(k)
-        if seq is None:
-            seq = _registry[k] = KbonacciSequence(k)
-        return seq
+    seq = _registry.get(k)
+    if seq is None:
+        seq = _registry[k] = KbonacciSequence(k)
+    return seq
 
 
 def term(k: int, j: int) -> int:

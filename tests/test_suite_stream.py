@@ -3,15 +3,19 @@ order as they are made, and run_suite is that stream collected."""
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbonacci import identities
 from kbonacci.identities import (
     CHECKER_IDS,
     CHECKERS,
+    MEMBER_CACHE_SIZE,
     CheckerParams,
     SuiteGrid,
     _case_sort_key,
@@ -19,6 +23,7 @@ from kbonacci.identities import (
     iter_suite,
     run_suite,
 )
+from kbonacci.sequences import lucas_term, term
 
 DEFAULT = SuiteGrid()
 DENSE = SuiteGrid(max_k=4, max_r=3, dim_cap=64)
@@ -124,3 +129,49 @@ def test_streamed_cases_are_not_kept():
     streamed = peak_mib(lambda: sum(1 for _ in iter_suite(["strided_sum"], grid)))
     collected = peak_mib(lambda: run_suite(["strided_sum"], grid))
     assert streamed < 0.5 < 1.5 < collected
+
+
+def count_member_builds(monkeypatch) -> Counter:
+    """Counts, by (family, k, r, j), the members identities builds for its
+    member cache from here on: family "F" over order-k terms, "L" over
+    Lucas terms."""
+    builds = Counter()
+    member = identities._member
+
+    def counting(value, k, r, j):
+        if value is lucas_term:
+            builds["L", k, r, j] += 1
+        elif isinstance(value, functools.partial) and value.func is term:
+            builds["F", k, r, j] += 1
+        return member(value, k, r, j)
+
+    monkeypatch.setattr(identities, "_member", counting)
+    return builds
+
+
+def test_a_default_run_builds_each_member_once(monkeypatch):
+    builds = count_member_builds(monkeypatch)
+    assert sum(1 for _ in iter_suite()) == 4985
+    assert {key[0] for key in builds} == {"F", "L"}
+    # checkers share members, and every checker of the run reads one cache
+    assert set(builds.values()) == {1}
+
+
+def test_an_evicting_cache_yields_the_same_cases(monkeypatch):
+    cases = list(iter_suite())
+    builds = count_member_builds(monkeypatch)
+    monkeypatch.setattr(identities, "_members", functools.lru_cache(maxsize=4)(identities._members.__wrapped__))
+    assert list(iter_suite()) == cases
+    assert max(builds.values()) > 1  # it evicted and built members again
+
+
+def test_the_member_cache_stays_bounded_and_ends_with_the_run():
+    cache = identities._members
+    assert cache.cache_info().maxsize == MEMBER_CACHE_SIZE
+    # 7 matrix levels of about 200 members each, more than the bound
+    sizes = [cache.cache_info().currsize for _ in iter_suite(["double_shift"], SuiteGrid(j_min=0, j_max=200))]
+    assert max(sizes) == MEMBER_CACHE_SIZE
+    assert cache.cache_info().currsize == 0
+    # a checker called on its own is a run of its own
+    CHECKERS["fl_double"](CheckerParams(k=2, r=2))
+    assert cache.cache_info().currsize == 0
