@@ -13,8 +13,9 @@ Q_r = Q_1 (x) I, the Kronecker product with the identity of dimension
 k^(r-1), and is filled from that product entry by entry.  fast_f
 powers the k-by-k companion matrix, lifts the result blockwise and
 serves as the oracle for the matrix laws.  fast_term evaluates single
-terms from x^j mod P_k(x) instead, which costs O(k^2 log j) big-integer
-products against O(k^3 log j) for the companion power.
+terms from x^j mod P_k(x) instead: k(k+1)/2 big-integer squarings per
+bit of j, the last bit's replaced by k products, against O(k^3 log j)
+products for the companion power.
 
 Every matrix built here is wrapped unchecked (SquareMatrix._of): its
 entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
@@ -27,7 +28,7 @@ from itertools import chain
 from operator import mul
 
 from .matrix import SquareMatrix, _require_int
-from .sequences import _validate_order, lucas_term, term, x_power_mod
+from .sequences import _times_x, _validate_order, lucas_term, term, x_power_mod
 
 
 # members kept per builder, above the 539 F and 106 Lucas members the suite grids build
@@ -139,11 +140,23 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
 
 
 def fast_term(k: int, j: int) -> int:
-    """term(k, j) for j >= 0, as the top coefficient of x^j mod P_k(x).
+    """term(k, j) for j >= 0, from x^j mod P_k(x) stopped one squaring short.
+
+    With c = x^(j >> 1) mod P_k and d = x^(j - (j >> 1)) mod P_k, x^j is
+    c(x) d(x), and the top coefficient of x^i d(x) is term(k, m + i) for
+    m = j - (j >> 1), so term(k, j) = sum of c_i * top(x^i d).  The tops
+    come from stepping d by x, which only adds, so the last, largest level
+    costs k products instead of a squaring's k(k+1)/2.
 
     Always takes the polynomial path, never the term window, so it stays
     an independent check on term() at every index.
     """
     _validate_order(k)
     _require_int("index", j, 0)
-    return x_power_mod(k, j)[k - 1]
+    half = x_power_mod(k, j >> 1)
+    step = _times_x(half) if j & 1 else half
+    tops = []
+    for _ in range(k):
+        tops.append(step[-1])
+        step = _times_x(step)
+    return sum(map(mul, half, tops))

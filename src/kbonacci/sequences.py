@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 from .matrix import _require_int
 
@@ -41,9 +42,11 @@ def _step_limit(k: int, j: int) -> int:
     computing x^j mod P_k afresh.
 
     A step costs two additions of integers the size of term(j); the
-    engine costs k(k+1)/2 products per bit of |j|, each no cheaper than a
-    step.  Measured, the engine's break-even lies 1x to 20x beyond this
-    count (further as |j| grows), so a step taken under it never loses.
+    engine costs k(k+1)/2 squarings per bit of |j|, each no cheaper than
+    a step.  Measured with squarings at k = 2..100, the engine's
+    break-even lies 0.9x to 22x this count (further as |j| grows; 0.9x
+    only just past the cap, as with general products), so a step taken
+    under it loses little at worst.
     """
     return k * (k + 1) // 2 * abs(j).bit_length()
 
@@ -53,16 +56,22 @@ def _validate_order(k) -> None:
 
 
 def _square_mod(c: list[int]) -> list[int]:
-    """c(x)^2 mod P_k for a coefficient vector c of length k."""
+    """c(x)^2 mod P_k for a coefficient vector c of length k.
+
+    Squaring a big int costs about two thirds of a product of two
+    different ones, so each cross term 2 c_i c_l is taken as
+    (c_i + c_l)^2 - c_i^2 - c_l^2 from the k squares: k(k+1)/2 squarings
+    and no general product.
+    """
     k = len(c)
+    squares = [a * a for a in c]
     p = [0] * (2 * k - 1)
-    for i, a in enumerate(c):
-        if a:
-            p[2 * i] += a * a
-            twice = a + a
-            for m in range(i + 1, k):
-                if c[m]:
-                    p[i + m] += twice * c[m]
+    p[::2] = squares
+    nonzero = [i for i, a in enumerate(c) if a]
+    for n, i in enumerate(nonzero):
+        for m in nonzero[n + 1 :]:
+            t = c[i] + c[m]
+            p[i + m] += t * t - squares[i] - squares[m]
     # Reduce from the top with x^d = x^(d-1) + ... + x^(d-k): coefficient d
     # gains the sum of the reduced coefficients d+1..d+k of degree >= k,
     # kept as a running sum.
@@ -115,13 +124,20 @@ class _Frame:
 
     Reading an index outside them steps the nearer end outward by the
     double-shift law s(n+1) = 2 s(n) - s(n-k), two additions per index,
-    and drops terms from the other end once the frame is full.
+    and drops terms from the other end once the frame is full.  A deque
+    reaches the term k places from an end by walking about k/64 blocks,
+    so each end keeps a list of its last k + 1 to 2(k + 1) terms, read
+    in one pass when it is first stepped and trimmed as it grows: a step
+    costs O(1) amortised at any order.
     """
 
     def __init__(self, lo: int, values: list[int], maxlen: int | None) -> None:
         self.lo = lo
         self.k = len(values) - 1
         self.values = deque(values, maxlen=maxlen)
+        # end lists: forward s(hi-k), ..., s(hi); backward s(lo+k), ..., s(lo)
+        self._ahead: list[int] | None = None
+        self._behind: list[int] | None = None
 
     @property
     def hi(self) -> int:
@@ -131,15 +147,66 @@ class _Frame:
         return max(self.lo - j, j - self.hi, 0)
 
     def get(self, j: int) -> int:
-        v, k = self.values, self.k
-        while j >= self.lo + len(v):
-            if len(v) == v.maxlen:
-                self.lo += 1
-            v.append(2 * v[-1] - v[-1 - k])
-        while j < self.lo:
-            v.appendleft(2 * v[k - 1] - v[k])
-            self.lo -= 1
-        return v[j - self.lo]
+        v = self.values
+        i = j - self.lo
+        if i >= len(v):
+            self._forward(i - len(v) + 1)
+            return v[-1]
+        if i < 0:
+            self._backward(-i)
+            return v[0]
+        return v[i]
+
+    def _forward(self, n: int) -> None:
+        v, k, run = self.values, self.k, self._ahead
+        if run is None:
+            run = self._ahead = list(islice(reversed(v), k + 1))
+            run.reverse()
+        if v.maxlen is not None and len(v) + n > v.maxlen:
+            self.lo += len(v) + n - v.maxlen
+            self._behind = None  # its terms are dropped
+        far, most = -1 - k, 2 * (k + 1)
+        for _ in range(n):
+            s = 2 * run[-1] - run[far]
+            run.append(s)
+            v.append(s)
+            if len(run) > most:
+                del run[: k + 1]
+
+    def _backward(self, n: int) -> None:
+        v, k, run = self.values, self.k, self._behind
+        if run is None:
+            run = self._behind = list(islice(v, k + 1))
+            run.reverse()
+        if v.maxlen is not None and len(v) + n > v.maxlen:
+            self._ahead = None  # its terms are dropped
+        self.lo -= n
+        far, most = -1 - k, 2 * (k + 1)
+        for _ in range(n):
+            s = 2 * run[-k] - run[far]
+            run.append(s)
+            v.appendleft(s)
+            if len(run) > most:
+                del run[: k + 1]
+
+    def span(self, j_lo: int, j_hi: int) -> list[int]:
+        """Terms j_lo..j_hi, no more than maxlen of them.
+
+        An index into the deque walks its 64-entry blocks from the nearer
+        end and islice walks entry by entry, so n terms d entries from the
+        nearer end cost about n d / 64 steps by index and d + n by islice:
+        up to 64 terms are read by index, more by islice from that end.
+        """
+        self.get(j_lo)
+        self.get(j_hi)
+        v, lo, hi = self.values, self.lo, self.hi
+        if j_hi - j_lo < 64:
+            return [v[i] for i in range(j_lo - lo, j_hi - lo + 1)]
+        if j_lo - lo <= hi - j_hi:
+            return list(islice(v, j_lo - lo, j_hi - lo + 1))
+        run = list(islice(reversed(v), hi - j_hi, hi - j_lo + 1))
+        run.reverse()
+        return run
 
 
 class KbonacciSequence:
@@ -191,7 +258,7 @@ class KbonacciSequence:
                 # the k + 1 outermost terms of the window, filled to the cap
                 window.get(side * WINDOW_CAP)
                 lo = window.hi - k if side > 0 else window.lo
-                values = [window.get(i) for i in range(lo, lo + k + 1)]
+                values = window.span(lo, lo + k)
             else:
                 lo, coeffs, values = j, x_power_mod(k, j), []
                 for _ in range(k + 1):
@@ -210,8 +277,7 @@ class KbonacciSequence:
         if j_lo > j_hi:
             raise ValueError(f"empty range: {j_lo} > {j_hi}")
         k = self._k
-        store = self._store(j_lo)
-        values = [store.get(j) for j in range(j_lo, min(j_hi, j_lo + k) + 1)]
+        values = self._store(j_lo).span(j_lo, min(j_hi, j_lo + k))
         while len(values) < j_hi - j_lo + 1:
             values.append(2 * values[-1] - values[-1 - k])
         return values

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import pytest
 
+from kbonacci import sequences
 from kbonacci.bench import iterative_term
 from kbonacci.builders import CACHE_SIZE, build_base, build_higher, build_lucas, build_q, fast_f, fast_term
 from kbonacci.matrix import SquareMatrix, decompose, identity, zeros
-from kbonacci.sequences import WINDOW_CAP, KbonacciSequence, lucas_term, term
+from kbonacci.sequences import WINDOW_CAP, KbonacciSequence, lucas_term, term, x_power_mod
 
 # grid shared by the structural tests: every (k, r) with dimension <= 27
 GRID = [(k, r) for k in (2, 3, 4) for r in (1, 2, 3) if k**r <= 27]
@@ -193,6 +194,31 @@ def test_fast_term_beyond_the_window_cap():
     for k in range(2, 9):
         for j in (WINDOW_CAP, WINDOW_CAP + 1, 3 * WINDOW_CAP + k):
             assert fast_term(k, j) == iterative_term(k, j), (k, j)
+
+
+def test_fast_term_matches_the_plain_recurrence_at_band_edges():
+    for k in range(2, 9):
+        for j in (0, 1, 2 * k - 2, 2 * k - 1, 2 * k, 2 * k + 1, 9_999, 10_000):
+            assert fast_term(k, j) == iterative_term(k, j), (k, j)
+
+
+def test_fast_term_stops_one_squaring_early(monkeypatch):
+    square_mod, squarings = sequences._square_mod, []
+
+    def counting(c):
+        squarings.append(len(c))
+        return square_mod(c)
+
+    monkeypatch.setattr(sequences, "_square_mod", counting)
+
+    def count(f, k, j):
+        squarings.clear()
+        f(k, j)
+        return len(squarings)
+
+    for k in range(2, 9):
+        for j in [*range(2, 70), 4095, 4096, 10**5 + 1]:
+            assert count(fast_term, k, j) == count(x_power_mod, k, j) - 1, (k, j)
 
 
 def test_fast_term_uses_neither_window_nor_matrix_products(monkeypatch):

@@ -7,6 +7,7 @@ hand-checked values, so the engine is never tested against itself.
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -269,6 +270,34 @@ def test_first_block_is_one_minus_one():
         expected = (1, -1) + (0,) * (k - 2)
         assert backward_block(k, 0).values == expected
         assert all(block_properties(k, 0).as_dict().values()), k
+
+
+def test_backward_blocks_at_a_large_order():
+    # a block steps the window k indices back and reads k terms at once;
+    # block 1 at this order also crosses the cap into a bounded frame
+    k = 3000
+    reference = oracle_values(k, -2 * k, k - 1)
+    seq = KbonacciSequence(k)
+    for n in (0, 1):
+        base = n * k
+        expected = [reference[-(base + i)] for i in range(k, 0, -1)]
+        assert seq.term_range(-(base + k), -(base + 1)) == expected, n
+    assert backward_block(k, 1).values == tuple(reversed(expected))
+
+
+def test_frame_steps_both_ways_match_the_oracle():
+    # reads that step a bounded frame forward and back, often by more
+    # than its length, so each end is dropped and read again
+    rng = random.Random(20261019)
+    for k in (2, 5):
+        edge = WINDOW_CAP + 3 * FRAME_TERMS * (k + 1)
+        reference = oracle_values(k, -edge - k, edge)
+        seq = KbonacciSequence(k)
+        for sign in (1, -1):
+            for _ in range(300):
+                j = sign * rng.randint(WINDOW_CAP + 1, edge)
+                assert seq.term(j) == reference[j], (k, j)
+                assert seq.term_range(j - k, j) == [reference[i] for i in range(j - k, j + 1)], (k, j)
 
 
 def test_concurrent_reads_stay_consistent():
