@@ -80,13 +80,13 @@ def _layout(value, k: int, r: int, j: int) -> SquareMatrix:
     return SquareMatrix._of(tuple(chain.from_iterable(rows)), len(rows))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_base(k: int, j: int) -> SquareMatrix:
     """Order-k matrix of sequence terms anchored at index j."""
     return build_higher(k, 1, j)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_higher(k: int, r: int, j: int) -> SquareMatrix:
     """Level-r family member at index j; dimension k^r."""
     _validate_order(k)
@@ -94,14 +94,14 @@ def build_higher(k: int, r: int, j: int) -> SquareMatrix:
     return _layout(partial(term, k), k, r, j)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_lucas(r: int, j: int) -> SquareMatrix:
     """Level-r Lucas family member at index j; dimension 2^r."""
     _validate_level(r)
     return _layout(lucas_term, 2, r, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_q(k: int, r: int) -> SquareMatrix:
     """Level-r companion matrix: identity blocks of dimension k^(r-1) down
     the first block column and on the first block superdiagonal, zero

@@ -5,8 +5,9 @@ terms follow the order-k sum recurrence, and earlier terms come from
 running the same recurrence in reverse, so there is a single two-sided
 sequence with no seam at zero.
 
-Every term is read from a frame of consecutive terms that moves one index
-per step by the double-shift law s(n+1) = 2 s(n) - s(n-k).  Indices within
+Every term is read from a frame of consecutive terms, kept in two lists
+that grow by append, one upward and one downward, each by the double-shift
+law s(n+1) = 2 s(n) - s(n-k), so a read is one list index.  Indices within
 WINDOW_CAP of zero come from the window, a frame with no size limit that
 grows on demand.  Beyond it each side keeps a frame of at most
 FRAME_TERMS * (k + 1) terms; a read far from that frame and from the
@@ -19,9 +20,8 @@ runs of nearby reads cost a step each.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import islice
+from functools import lru_cache
 
 from .matrix import _require_int
 
@@ -35,6 +35,12 @@ WINDOW_CAP = 4096
 # 6000, 2 and 4 times k + 1 took about 20% longer than 8), at a few times
 # the memory of the engine's k coefficients.
 FRAME_TERMS = 8
+
+# Orders whose sequence objects term() and term_range() keep, least recently
+# read dropped first.  A verify run reads max_k - 1 orders (3 on the default
+# and dense grids) and no test but this bound's own reads more than 7, so
+# none is dropped there.
+ORDER_CACHE_SIZE = 64
 
 
 def _step_limit(k: int, j: int) -> int:
@@ -109,6 +115,7 @@ def x_power_mod(k: int, j: int) -> list[int]:
     or 1/x that costs k additions.
     """
     _validate_order(k)
+    _require_int("index", j, None)
     step = _times_x if j >= 0 else _over_x
     c = [1] + [0] * (k - 1)
     for bit in bin(abs(j))[2:]:
@@ -120,104 +127,91 @@ def x_power_mod(k: int, j: int) -> list[int]:
 
 class _Frame:
     """Consecutive terms s(lo), ..., s(hi) of one sequence, at least k + 1
-    of them and at most maxlen (no limit when maxlen is None).
+    of them and at most maxlen distinct ones (no limit when maxlen is None).
 
-    Reading an index outside them steps the nearer end outward by the
-    double-shift law s(n+1) = 2 s(n) - s(n-k), two additions per index,
-    and drops terms from the other end once the frame is full.  A deque
-    reaches the term k places from an end by walking about k/64 blocks,
-    so each end keeps a list of its last k + 1 to 2(k + 1) terms, read
-    in one pass when it is first stepped and trimmed as it grows: a step
-    costs O(1) amortised at any order.
+    They sit in two lists about an anchor a that only grow by append: up
+    holds s(a), s(a+1), ... and down holds s(a+k), s(a+k-1), ....  Both
+    begin with the same k + 1 terms, so each steps outward on its own by
+    the double-shift law s(n+1) = 2 s(n) - s(n-k), two additions per
+    index, and every read is one list index at any order.  When a list
+    outgrows its share of maxlen, both restart from its newest k + 1
+    terms, so a step costs O(1) amortised.
     """
 
     def __init__(self, lo: int, values: list[int], maxlen: int | None) -> None:
-        self.lo = lo
         self.k = len(values) - 1
-        self.values = deque(values, maxlen=maxlen)
-        # end lists: forward s(hi-k), ..., s(hi); backward s(lo+k), ..., s(lo)
-        self._ahead: list[int] | None = None
-        self._behind: list[int] | None = None
+        self.maxlen = maxlen
+        self._restart(lo, values)
+
+    def _restart(self, a: int, up: list[int]) -> None:
+        self.a, self.up, self.down = a, up, up[::-1]
+
+    @property
+    def lo(self) -> int:
+        return self.a + self.k + 1 - len(self.down)
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.values) - 1
+        return self.a + len(self.up) - 1
 
     def distance(self, j: int) -> int:
         return max(self.lo - j, j - self.hi, 0)
 
     def get(self, j: int) -> int:
-        v = self.values
-        i = j - self.lo
-        if i >= len(v):
-            self._forward(i - len(v) + 1)
-            return v[-1]
-        if i < 0:
-            self._backward(-i)
-            return v[0]
-        return v[i]
+        i = j - self.a
+        if i >= 0:
+            up = self.up
+            if i < len(up):
+                return up[i]
+            return self._step(up, i + 1 - len(up), -1)
+        i = self.k - i
+        down = self.down
+        if i < len(down):
+            return down[i]
+        return self._step(down, i + 1 - len(down), -self.k)
 
-    def _forward(self, n: int) -> None:
-        v, k, run = self.values, self.k, self._ahead
-        if run is None:
-            run = self._ahead = list(islice(reversed(v), k + 1))
-            run.reverse()
-        if v.maxlen is not None and len(v) + n > v.maxlen:
-            self.lo += len(v) + n - v.maxlen
-            self._behind = None  # its terms are dropped
-        far, most = -1 - k, 2 * (k + 1)
-        for _ in range(n):
-            s = 2 * run[-1] - run[far]
-            run.append(s)
-            v.append(s)
-            if len(run) > most:
-                del run[: k + 1]
-
-    def _backward(self, n: int) -> None:
-        v, k, run = self.values, self.k, self._behind
-        if run is None:
-            run = self._behind = list(islice(v, k + 1))
-            run.reverse()
-        if v.maxlen is not None and len(v) + n > v.maxlen:
-            self._ahead = None  # its terms are dropped
-        self.lo -= n
-        far, most = -1 - k, 2 * (k + 1)
-        for _ in range(n):
-            s = 2 * run[-k] - run[far]
-            run.append(s)
-            v.appendleft(s)
-            if len(run) > most:
-                del run[: k + 1]
+    def _step(self, run: list[int], n: int, near: int) -> int:
+        """Append n terms to run, up (near = -1) or down (near = -k), and
+        return the last."""
+        k, far = self.k, -1 - self.k
+        while True:
+            room = n
+            if self.maxlen is not None:  # up and down share k + 1 terms
+                room = min(n, self.maxlen + k + 1 - len(self.up) - len(self.down))
+            for _ in range(room):
+                run.append(2 * run[near] - run[far])
+            n -= room
+            if not n:
+                return run[-1]
+            if run is self.up:
+                self._restart(self.hi - k, run[far:])
+                run = self.up
+            else:
+                self._restart(self.lo, run[far:][::-1])
+                run = self.down
 
     def span(self, j_lo: int, j_hi: int) -> list[int]:
-        """Terms j_lo..j_hi, no more than maxlen of them.
-
-        An index into the deque walks its 64-entry blocks from the nearer
-        end and islice walks entry by entry, so n terms d entries from the
-        nearer end cost about n d / 64 steps by index and d + n by islice:
-        up to 64 terms are read by index, more by islice from that end.
-        """
+        """Terms j_lo..j_hi, at most k + 1 of them: all in up when j_lo >= a,
+        else all in down."""
         self.get(j_lo)
         self.get(j_hi)
-        v, lo, hi = self.values, self.lo, self.hi
-        if j_hi - j_lo < 64:
-            return [v[i] for i in range(j_lo - lo, j_hi - lo + 1)]
-        if j_lo - lo <= hi - j_hi:
-            return list(islice(v, j_lo - lo, j_hi - lo + 1))
-        run = list(islice(reversed(v), hi - j_hi, hi - j_lo + 1))
-        run.reverse()
-        return run
+        i = j_lo - self.a
+        if i >= 0:
+            return self.up[i : i + j_hi - j_lo + 1]
+        i = self.k - i
+        return self.down[i - (j_hi - j_lo) : i + 1][::-1]
 
 
 class KbonacciSequence:
     """Order-k sequence seeded 0, ..., 0, 1 on indices 0..k-1.
 
-    Every term comes from a _Frame.  term(j) for |j| <= WINDOW_CAP comes
-    from the window, a frame with no size limit that grows on demand in
-    both directions; a term beyond the cap comes from the bounded frame on
-    its side, so the window never grows past the cap (term_range may take
-    it k further).  A sequence object is not thread-safe: a read may step
-    or replace its frames.
+    Every term is a list index into a _Frame once the frame has stepped to
+    it.  term(j) for |j| <= WINDOW_CAP comes from the window, a frame with
+    no size limit that grows on demand in both directions; a term beyond
+    the cap comes from the bounded frame on its side, so the window never
+    grows past the cap (term_range may take it k further).  A sequence
+    object is not thread-safe: a read may step, restart or replace its
+    frames.
     """
 
     def __init__(self, k: int) -> None:
@@ -271,9 +265,13 @@ class KbonacciSequence:
         return sum(c * s for c, s in zip(coeffs, self._seeds) if s)
 
     def term(self, j: int) -> int:
+        if type(j) is not int:  # a plain int skips the call, which costs more than the read
+            _require_int("index", j, None)
         return self._store(j).get(j)
 
     def term_range(self, j_lo: int, j_hi: int) -> list[int]:
+        _require_int("index", j_lo, None)
+        _require_int("index", j_hi, None)
         if j_lo > j_hi:
             raise ValueError(f"empty range: {j_lo} > {j_hi}")
         k = self._k
@@ -294,16 +292,12 @@ class LucasSequence(KbonacciSequence):
         return (2, 1)
 
 
-_registry: dict[int, KbonacciSequence] = {}
 _lucas = LucasSequence()
 
 
+@lru_cache(maxsize=ORDER_CACHE_SIZE, typed=True)
 def _shared(k: int) -> KbonacciSequence:
-    _validate_order(k)
-    seq = _registry.get(k)
-    if seq is None:
-        seq = _registry[k] = KbonacciSequence(k)
-    return seq
+    return KbonacciSequence(k)
 
 
 def term(k: int, j: int) -> int:
@@ -336,6 +330,7 @@ def closed_form_band(k: int, j: int) -> int | None:
     those bands no closed form is claimed.
     """
     _validate_order(k)
+    _require_int("index", j, None)
     if k <= j <= 2 * k - 1:
         return 2 ** (j - k)
     if 2 * k <= j <= 3 * k - 2:

@@ -250,6 +250,26 @@ def test_builder_validation():
 
 
 @pytest.mark.parametrize(
+    "builder, bad, good",
+    [
+        (build_base, (2.0, 5), (2, 5)),
+        (build_higher, (2.0, 1, 5), (2, 1, 5)),
+        (build_higher, (2, True, 7), (2, 1, 7)),
+        (build_lucas, (True, 3), (1, 3)),
+        (build_q, (2.0, 1), (2, 1)),
+    ],
+)
+def test_builder_cache_tells_equal_keys_of_other_types_apart(builder, bad, good):
+    # bad == good, so an untyped cache would answer bad with good's matrix
+    builder.cache_clear()
+    with pytest.raises(ValueError):
+        builder(*bad)
+    builder(*good)
+    with pytest.raises(ValueError):
+        builder(*bad)
+
+
+@pytest.mark.parametrize(
     "builder, args",
     [(build_base, (2,)), (build_higher, (2, 1)), (build_lucas, (1,))],
     ids=["build_base", "build_higher", "build_lucas"],

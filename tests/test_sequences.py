@@ -134,6 +134,41 @@ def test_order_validation():
         KbonacciSequence(1)
 
 
+@pytest.mark.parametrize(
+    "read, args",
+    [
+        (term, (2, True)),
+        (term, (2, 2.0)),
+        (term, (2, 5000.0)),
+        (term, (2, "3")),
+        (term_range, (2, 0, 3.0)),
+        (term_range, (2, 0.0, 3)),
+        (term_range, (2, False, 3)),
+        (closed_form_band, (2, 2.5)),
+        (closed_form_band, (2, 3.0)),
+        (lucas_term, (1.0,)),
+        (fibonacci_term, (True,)),
+        (x_power_mod, (2, 2.0)),
+        (x_power_mod, (2, True)),
+    ],
+)
+def test_index_validation(read, args):
+    with pytest.raises(ValueError):
+        read(*args)
+
+
+def test_shared_orders_are_bounded():
+    bound = sequences.ORDER_CACHE_SIZE
+    for k in range(2, bound + 12):
+        term(k, 5)
+    info = sequences._shared.cache_info()
+    assert info.currsize == bound
+    # order 3 was dropped; reading it again builds it afresh
+    reference = oracle_values(3, -40, 40)
+    assert term_range(3, -40, 40) == [reference[j] for j in range(-40, 41)]
+    assert sequences._shared.cache_info().misses == info.misses + 1
+
+
 def test_closed_form_band_one():
     # band one: term(k, j) = 2^(j-k) for k <= j <= 2k-1
     for k in range(2, 9):
@@ -395,7 +430,7 @@ def test_window_stays_bounded_beyond_the_cap():
         assert seq._window.hi <= WINDOW_CAP + k, k
         assert seq._window.lo >= -WINDOW_CAP, k
         for frame in seq._frames.values():
-            assert k + 1 <= len(frame.values) <= FRAME_TERMS * (k + 1), k
+            assert k + 1 <= frame.hi - frame.lo + 1 <= FRAME_TERMS * (k + 1), k
 
 
 def test_reads_beyond_the_cap_step_when_that_is_cheaper(monkeypatch):
@@ -404,7 +439,7 @@ def test_reads_beyond_the_cap_step_when_that_is_cheaper(monkeypatch):
     seq = KbonacciSequence(2)
     j = 10**5
     assert seq.term(j) == fast_term(2, j)
-    assert seq._window.lo == 0 and list(seq._window.values) == [0, 1, 1]
+    assert seq._window.lo == 0 and seq._window.up == [0, 1, 1]
 
     def refuse(*args):
         raise AssertionError("a nearby read must step, not start afresh")
