@@ -31,7 +31,8 @@ from .matrix import SquareMatrix, _require_int
 from .sequences import _times_x, _validate_order, lucas_term, term, x_power_mod
 
 
-# members kept per builder, above the 539 F and 106 Lucas members the suite grids build
+# members kept per builder; a suite run builds most of its members through
+# identities._members, and only 104 (default grid) or 135 (dense grid) with build_higher
 CACHE_SIZE = 1024
 
 

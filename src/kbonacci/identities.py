@@ -17,11 +17,11 @@ its w-scaled class table over digit-sum pairs (_member), a SquareMatrix
 of dimension r(k-1)+1 whose arithmetic is that of the dense members.
 Two stay dense: the right side of geometric's literal identity-matrix
 reading, and q_power, which compares the builders with the
-companion-power path.  The order-2 matrix family
-consists of companion-matrix powers, so every order-2 level-1 identity
-is re-evaluated through plain companion powers as an independent second
-oracle; a disagreement there is a library defect and raises instead of
-reporting.
+companion-power path.  Every checker's cases are made by one generator
+that is handed its evaluators.  At order 2 and level 1 every member is a
+power of the companion matrix Q, so there each checker's generator also
+runs on plain powers of Q, an independent second oracle; a disagreement
+there is a library defect and raises instead of reporting.
 """
 
 from __future__ import annotations
@@ -147,25 +147,31 @@ CHECKERS = {}
 
 
 def _checker(order: int | None = None, min_r: int = 0):
-    """Register the case generator check_<id> as checker <id>.
+    """Register the case generator check_<id>(p, X, L) as checker <id>.
 
-    The generator yields (index params, lhs, rhs[, corrected[,
-    status-if-equal]]) per case, or (index params,) for a skipped case,
-    in _case_sort_key order: iter_suite merges the streams of the (k, r)
-    pairs as they come and raises on a case out of that order.  The
-    registered checker rejects parameters outside its domain (order
-    `order` only, when given; levels r >= min_r) and returns the
-    SuiteResult of a suite run of its own.  `order` and `min_r` stay on
-    the checker, where iter_suite reads its grid from, and `stream(p)`
-    yields the cases one by one, with k and r added to every case's
-    params.
+    X and L are the level's evaluators (_level).  The generator yields
+    (index params, lhs, rhs[, corrected[, status-if-equal]]) per case, or
+    (index params,) for a skipped case, in _case_sort_key order:
+    iter_suite merges the streams of the (k, r) pairs as they come and
+    raises on a case out of that order.  At k = 2, r = 1, where every
+    member is a companion power, X(j) = Q^j and L(j) = Q^(j+1) + Q^(j-1),
+    the generator also runs on those in lockstep, and the first
+    disagreement raises as a library defect.  The registered checker
+    rejects parameters outside its domain (order `order` only, when
+    given; levels r >= min_r) and returns the SuiteResult of a suite run
+    of its own.  `order` and `min_r` stay on the checker, where iter_suite
+    reads its grid from, and `stream(p)` yields the cases one by one, with
+    k and r added to every case's params.
     """
 
     def register(cases_of):
         checker_id = cases_of.__name__.removeprefix("check_")
 
         def stream(p: CheckerParams):
-            for index, *sides in cases_of(p):
+            cases = cases_of(p, *_level(p))
+            if (p.k, p.r) == (2, 1):
+                cases = _lockstep(cases, cases_of(p, _q_power, lambda i: _q_power(i + 1) + _q_power(i - 1)))
+            for index, *sides in cases:
                 params = {"k": p.k, "r": p.r, **index}
                 yield _case(checker_id, params, *sides) if sides else CheckCase(checker_id, params, SKIPPED)
 
@@ -200,10 +206,31 @@ def _members(family: str, k: int, r: int, j: int) -> SquareMatrix:
 
 
 def _level(p: CheckerParams):
-    """Element evaluator and zero for the level: terms, or cached F members."""
+    """X, the level's terms or cached F members, and L, the Lucas ones at order 2 or None."""
     if p.r == 0:
-        return functools.partial(term, p.k), 0
-    return functools.partial(_members, "F", p.k, p.r), _member(lambda i: 0, p.k, p.r, 0)
+        return functools.partial(term, p.k), lucas_term if p.k == 2 else None
+    L = functools.partial(_members, "L", 2, p.r) if p.k == 2 else None
+    return functools.partial(_members, "F", p.k, p.r), L
+
+
+_Q = SquareMatrix([[1, 1], [1, 0]])
+_Q_INV = SquareMatrix([[0, 1], [1, -1]])  # exact integer inverse of _Q
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _q_power(j: int) -> SquareMatrix:
+    return _Q**j if j >= 0 else _Q_INV ** (-j)
+
+
+def _lockstep(cases, shadow):
+    """cases, each checked against the shadow's case of the same place."""
+    for case, check in zip(cases, shadow):
+        if check != case:
+            raise RuntimeError(
+                "companion-power oracle disagrees with the matrix builders; "
+                "this is a library defect, not an identity failure"
+            )
+        yield case
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +238,10 @@ def _level(p: CheckerParams):
 
 
 @_checker()
-def check_sum_formula(p: CheckerParams):
+def check_sum_formula(p: CheckerParams, X, L):
     """(k-1) * sum of the first n terms against its closed difference form.
     Equality makes the closed form entrywise divisible by k-1."""
-    X, zero = _level(p)
+    zero = 0 * X(0)  # of X's kind: an int or a matrix
     k = p.k
     running = zero
     for n in range(1, p.n_max + 1):
@@ -226,16 +253,15 @@ def check_sum_formula(p: CheckerParams):
 
 
 @_checker()
-def check_double_shift(p: CheckerParams):
+def check_double_shift(p: CheckerParams, X, L):
     """X(j+k-1) == 2*X(j+k-2) - X(j-2) at every integer j in the grid."""
-    X, _ = _level(p)
     k = p.k
     for j in range(p.j_min, p.j_max + 1):
         yield {"j": j}, X(j + k - 1), 2 * X(j + k - 2) - X(j - 2)
 
 
 @_checker()
-def check_geometric(p: CheckerParams):
+def check_geometric(p: CheckerParams, X, L):
     """Scaled geometric sum: sum of 2^(n-j) * X(j-1) for j = 1..n against
     2^n * C - X(k+n).
 
@@ -245,7 +271,7 @@ def check_geometric(p: CheckerParams):
     scalar counterpart is exactly 1).  The corrected reading reports
     holds-corrected.
     """
-    X, zero = _level(p)
+    zero = 0 * X(0)
     k = p.k
     running = zero
     for n in range(1, p.n_max + 1):
@@ -262,10 +288,9 @@ def check_geometric(p: CheckerParams):
 
 
 @_checker()
-def check_strided_sum(p: CheckerParams):
+def check_strided_sum(p: CheckerParams, X, L):
     """Stride-k sum: sum of X(k*n + j + 1) for n = 0..m against the block
     of consecutive terms X(j-n) for n = -mk..k-1."""
-    X, _ = _level(p)
     k = p.k
     for j in range(0, p.j_max + 1):
         lhs = X(j + 1)
@@ -281,10 +306,10 @@ def check_strided_sum(p: CheckerParams):
 
 
 @_checker()
-def check_k_stride(p: CheckerParams):
+def check_k_stride(p: CheckerParams, X, L):
     """Sum of X(k*n) for n = 1..m against the tail sum of X(k-1-n) over
     n = k*(1-m)..k-1."""
-    X, zero = _level(p)
+    zero = 0 * X(0)
     k = p.k
     lhs = zero
     rhs = zero
@@ -296,10 +321,10 @@ def check_k_stride(p: CheckerParams):
 
 
 @_checker()
-def check_congruence_sum(p: CheckerParams):
+def check_congruence_sum(p: CheckerParams, X, L):
     """X(k*m) - X(0) against the tail sum restricted to offsets n with
     n not congruent to 0 modulo k-1."""
-    X, zero = _level(p)
+    zero = 0 * X(0)
     k = p.k
     for m in range(1, p.m_max + 1):
         lhs = X(k * m) - X(0)
@@ -311,10 +336,10 @@ def check_congruence_sum(p: CheckerParams):
 
 
 @_checker()
-def check_square_convolution(p: CheckerParams):
+def check_square_convolution(p: CheckerParams, X, L):
     """Sum of X(j)^2 for j = 0..n against X(n+1)*X(n) minus the lagged
     convolution sums, products taken in the stated order."""
-    X, zero = _level(p)
+    zero = 0 * X(0)
     k = p.k
     sq_sum = zero
     tails = {j: zero for j in range(2, k)}
@@ -330,10 +355,10 @@ def check_square_convolution(p: CheckerParams):
 
 
 @_checker()
-def check_power_expansion(p: CheckerParams):
+def check_power_expansion(p: CheckerParams, X, L):
     """X(j+n) expanded as 2^n times a short back sum plus weighted terms,
     valid for 1 <= n <= k-1; out-of-range n is reported as skipped."""
-    X, zero = _level(p)
+    zero = 0 * X(0)
     k = p.k
     for j in range(p.j_min, p.j_max + 1):
         for n in range(1, min(p.n_max, k - 1) + 1):
@@ -350,7 +375,7 @@ def check_power_expansion(p: CheckerParams):
 
 
 @_checker(min_r=1)
-def check_q_power(p: CheckerParams):
+def check_q_power(p: CheckerParams, X, L):
     """Direct level-r construction against the companion-power path for
     j = 1..j_max.  Matrix levels only."""
     for j in range(1, p.j_max + 1):
@@ -360,43 +385,6 @@ def check_q_power(p: CheckerParams):
 # ---------------------------------------------------------------------------
 # order-2 checkers (Fibonacci/Lucas pair)
 
-_Q = SquareMatrix([[1, 1], [1, 0]])
-_Q_INV = SquareMatrix([[0, 1], [1, -1]])  # exact integer inverse of _Q
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _q_power(j: int) -> SquareMatrix:
-    return _Q**j if j >= 0 else _Q_INV ** (-j)
-
-
-def _fib_pair(cases_of):
-    """Register the generator check_<id>(p, F, L) as an order-2 checker.
-
-    F and L evaluate the Fibonacci and Lucas members of level p.r.  At
-    level 1 the same generator also runs, in lockstep, on plain companion
-    powers; the first case on which the two disagree is a library defect
-    and raises instead of reporting.
-    """
-
-    @functools.wraps(cases_of)
-    def cases(p: CheckerParams):
-        F, _ = _level(p)
-        L = lucas_term if p.r == 0 else functools.partial(_members, "L", 2, p.r)
-        main = cases_of(p, F, L)
-        if p.r != 1:
-            yield from main
-            return
-        shadow = cases_of(p, _q_power, lambda i: _q_power(i + 1) + _q_power(i - 1))
-        for case, check in zip(main, shadow):
-            if check != case:
-                raise RuntimeError(
-                    "companion-power oracle disagrees with the matrix builders; "
-                    "this is a library defect, not an identity failure"
-                )
-            yield case
-
-    return _checker(order=2)(cases)
-
 
 def _scaled(r: int, F, L, i: int):
     """The parity-scaled order-2 target of level r: 5^(r/2)*F(i) at even
@@ -404,7 +392,7 @@ def _scaled(r: int, F, L, i: int):
     return 5 ** (r // 2) * (L(i) if r % 2 else F(i))
 
 
-@_fib_pair
+@_checker(order=2)
 def check_lucas_pair(p: CheckerParams, F, L):
     """Two linear pair identities: L(s) + L(s+2) against 5*F(s+1), and
     F(s) + F(s+2) against L(s+1)."""
@@ -414,7 +402,7 @@ def check_lucas_pair(p: CheckerParams, F, L):
         yield {"s": s, "part": "lucas-sum"}, L(s) + L(s + 2), 5 * F(s + 1)
 
 
-@_fib_pair
+@_checker(order=2)
 def check_addition_formula(p: CheckerParams, F, L):
     """Index addition: F(m-1)*F(n) + F(m)*F(n+1) against the scaled
     target, 5^(r/2)*F(m+n) at even levels and 5^((r-1)/2)*L(m+n) at odd
@@ -424,14 +412,14 @@ def check_addition_formula(p: CheckerParams, F, L):
             yield {"m": m, "n": n}, _scaled(p.r, F, L, m + n), F(m - 1) * F(n) + F(m) * F(n + 1)
 
 
-@_fib_pair
+@_checker(order=2)
 def check_fl_double(p: CheckerParams, F, L):
     """F(n) + L(n) against 2*F(n+1)."""
     for n in range(p.j_min, p.j_max + 1):
         yield {"n": n}, F(n) + L(n), 2 * F(n + 1)
 
 
-@_fib_pair
+@_checker(order=2)
 def check_square_sum(p: CheckerParams, F, L):
     """F(n+1)^2 + F(n)^2 against the scaled odd-index target:
     F(2n+1) at the scalar level, 5^(r/2)*F(2n+1) at even levels,
@@ -440,7 +428,7 @@ def check_square_sum(p: CheckerParams, F, L):
         yield {"n": n}, F(n + 1) * F(n + 1) + F(n) * F(n), _scaled(p.r, F, L, 2 * n + 1)
 
 
-@_fib_pair
+@_checker(order=2)
 def check_square_diff(p: CheckerParams, F, L):
     """F(n+1)^2 - F(n)^2 against its cataloged target.
 
@@ -461,7 +449,7 @@ def check_square_diff(p: CheckerParams, F, L):
         yield {"n": n}, diff, stated, corrected
 
 
-@_fib_pair
+@_checker(order=2)
 def check_square_series(p: CheckerParams, F, L):
     """Sum of F(i)^2 for i = 1..n against the closed form: F(n)*F(n+1) at
     the scalar level, 5^((r-1)/2)*(F(2n+1) - F(1)) at odd levels, and

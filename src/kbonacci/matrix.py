@@ -2,8 +2,8 @@
 
 Immutable values with exact ring arithmetic: no floats, no modular
 reduction, no overflow, and entries in one flat row-major tuple.  Block
-composition and decomposition support the recursive matrix families
-built elsewhere in the package.
+composition and decomposition (compose, decompose) are public helpers;
+the builders lay their members out by digit sum instead.
 """
 
 from __future__ import annotations

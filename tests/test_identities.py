@@ -257,6 +257,26 @@ def test_companion_shadow_oracle_guard(monkeypatch):
         checker(CheckerParams(k=2, r=2, n_max=3, j_min=-1, j_max=3))
 
 
+def test_companion_shadow_runs_wherever_members_are_companion_powers(monkeypatch):
+    from kbonacci import identities
+
+    q_power = identities._q_power
+    monkeypatch.setattr(identities, "_q_power", lambda j: 2 * q_power(j) if j == 2 else q_power(j))
+    bounds = {"n_max": 3, "j_min": -1, "j_max": 3}
+    for checker_id in CHECKER_IDS:
+        checker = CHECKERS[checker_id]
+        if checker_id == "q_power":
+            # it compares the builders with fast_f and reads no evaluator
+            checker(CheckerParams(k=2, r=1, **bounds))
+        else:
+            with pytest.raises(RuntimeError, match="companion-power oracle disagrees"):
+                checker(CheckerParams(k=2, r=1, **bounds))
+        # members above level 1 or of other orders are not powers of Q: no shadow
+        checker(CheckerParams(k=2, r=2, **bounds))
+        if checker.order is None:
+            checker(CheckerParams(k=3, r=1, **bounds))
+
+
 def test_square_series_incremental_guard(monkeypatch):
     from kbonacci import identities
 

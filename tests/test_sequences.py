@@ -134,6 +134,13 @@ def test_order_validation():
         KbonacciSequence(1)
 
 
+@pytest.mark.parametrize("read, args", [(term, (1,)), (term_range, (0, 1))])
+@pytest.mark.parametrize("order", [[2], {2: 1}])
+def test_unhashable_orders_are_rejected_as_orders(read, args, order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        read(order, *args)
+
+
 @pytest.mark.parametrize(
     "read, args",
     [
