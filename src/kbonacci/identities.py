@@ -81,7 +81,11 @@ class CheckerParams:
 @dataclass(frozen=True)
 class CheckCase:
     """Outcome of one identity instance.  A failing case carries the
-    documented reason it is expected to fail, or None when it is not."""
+    documented reason it is expected to fail, or None when it is not.
+
+    counterexample is read-only: in a table's payload the rows of equal
+    digit sum are one shared list.  SuiteResult.to_json_dict() and
+    jsonify return fresh copies."""
 
     checker: str
     params: dict
@@ -116,11 +120,15 @@ def _entries(m: SquareMatrix, k: int, r: int, cell=int):
 
 
 def _serialize(value, k: int, r: int):
+    """One side's report payload: decimal text, or a matrix's JSON form,
+    where a scaled table's rows of equal digit sum are one shared list."""
     if not isinstance(value, SquareMatrix):
         return decimal_text(value)
     if value.dim == k**r:
         return to_json_dict(value)
-    return {"dim": k**r, "entries": [list(row) for row in _entries(value, k, r, decimal_text)]}
+    rows = _entries(value, k, r, decimal_text)
+    shared = {id(row): list(row) for row in rows}
+    return {"dim": k**r, "entries": [shared[id(row)] for row in rows]}
 
 
 def _same(a, b, k: int, r: int) -> bool:
@@ -217,9 +225,25 @@ _Q = SquareMatrix([[1, 1], [1, 0]])
 _Q_INV = SquareMatrix([[0, 1], [1, -1]])  # exact integer inverse of _Q
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+# powers of _Q kept by exponent; emptied when it holds CACHE_SIZE
+_Q_POWERS: dict[int, SquareMatrix] = {}
+
+
 def _q_power(j: int) -> SquareMatrix:
-    return _Q**j if j >= 0 else _Q_INV ** (-j)
+    """Q^j: one product by _Q or _Q_INV from a kept Q^(j-1) or Q^(j+1),
+    else _Q or _Q_INV raised by repeated squaring."""
+    power = _Q_POWERS.get(j)
+    if power is None:
+        if j - 1 in _Q_POWERS:
+            power = _Q_POWERS[j - 1] * _Q
+        elif j + 1 in _Q_POWERS:
+            power = _Q_POWERS[j + 1] * _Q_INV
+        else:
+            power = _Q**j if j >= 0 else _Q_INV ** (-j)
+        if len(_Q_POWERS) >= CACHE_SIZE:
+            _Q_POWERS.clear()
+        _Q_POWERS[j] = power
+    return power
 
 
 def _lockstep(cases, shadow):
@@ -620,6 +644,28 @@ def _scalar_json(value, quote_ints: bool) -> str | None:
     return None
 
 
+# a report case's keys, and the text of one without a counterexample:
+# {0} comes before each key, {1}, {2} and {3} are the texts of its id,
+# params and status, and {4} comes before the closing brace
+_CASE_KEYS = frozenset({"counterexample", "id", "params", "status"})
+_PLAIN_CASE = '{{{0}"counterexample": null,{0}"id": {1},{0}"params": {2},{0}"status": {3}{4}}}'
+
+
+def _text(value, newline: str, quote_ints: bool) -> str:
+    """json_chunks' text of value at the level of _chunks(value, newline), in one piece."""
+    text = _scalar_json(value, quote_ints)
+    return "".join(_chunks(value, newline, quote_ints)) if text is None else text
+
+
+def _row(value, newline: str) -> str | None:
+    """The text of a list or tuple of strings only, as a matrix row is
+    written, in one piece; None for any other list or tuple."""
+    if set(map(type, value)) != {str}:
+        return None
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+
+
 def _chunks(value, newline: str, quote_ints: bool):
     """json_chunks at the nesting level whose closing bracket follows
     newline."""
@@ -629,15 +675,24 @@ def _chunks(value, newline: str, quote_ints: bool):
         return
     inner = newline + "  "
     sep = "," + inner
+    rows = None
     if isinstance(value, dict):
+        if value.keys() == _CASE_KEYS and value["counterexample"] is None:
+            texts = (_text(value[key], inner, quote_ints) for key in ("id", "params", "status"))
+            yield _PLAIN_CASE.format(inner, *texts, newline)
+            return
         brackets = "{}"
         items = ((_quote(key) + ": ", value[key]) for key in sorted(value))
     elif isinstance(value, (list, tuple, GeneratorType)):
         brackets = "[]"
-        if not isinstance(value, GeneratorType) and set(map(type, value)) == {str}:
-            # a matrix row, in one piece
-            yield "[" + inner + sep.join(map(_quote, value)) + newline + "]"
-            return
+        if not isinstance(value, GeneratorType):
+            text = _row(value, newline)
+            if text is not None:
+                yield text
+                return
+            # the value keeps its items alive, so an id names one item:
+            # a row that repeats is tested and written once
+            rows = {}
         items = (("", v) for v in value)
     elif callable(value):
         yield from _chunks(value(), newline, quote_ints)
@@ -647,7 +702,12 @@ def _chunks(value, newline: str, quote_ints: bool):
     opening = brackets[0] + inner
     whole = isinstance(value, GeneratorType)
     for head, item in items:
-        text = _scalar_json(item, quote_ints)
+        if rows is not None and isinstance(item, (list, tuple)):
+            if id(item) not in rows:
+                rows[id(item)] = _row(item, inner)
+            text = rows[id(item)]
+        else:
+            text = _scalar_json(item, quote_ints)
         if text is None and whole:
             text = "".join(_chunks(item, inner, quote_ints))
         if text is None:

@@ -203,7 +203,11 @@ def decompose(m: SquareMatrix, k: int) -> list[list[SquareMatrix]]:
 
 
 # up to LEAF_DIGITS digits, under 640 (the lowest digit limit Python
-# allows), integers go through plain str and int; longer ones are halved
+# allows), integers go through plain str and int; longer ones are halved.
+# Version-dependent: the limit on int <-> str conversion
+# (sys.set_int_max_str_digits, 4,300 digits by default) exists from
+# Python 3.11 and 3.10.7 on and is absent before, so decimal_text and
+# parse_integer never convert more than LEAF_DIGITS digits through it.
 LEAF_DIGITS = 600
 _HIGH = 10**LEAF_DIGITS
 _LOW = -_HIGH
@@ -230,6 +234,12 @@ def decimal_text(n: int) -> str:
         hi = n >> half
         return convert(hi, width - half) * powers[half] + convert(n - (hi << half), half)
 
+    # Version- and platform-dependent: MAX_PREC and MAX_EMAX are the
+    # largest the build allows (999999999999999999 on 64-bit builds,
+    # 425000000 on 32-bit ones), so with Inexact trapped no step rounds.
+    # CPython's C decimal (libmpdec) multiplies large coefficients by
+    # number-theoretic transform; the pure-Python _pydecimal gives the
+    # same digits, only slower.
     with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text

@@ -277,6 +277,26 @@ def test_companion_shadow_runs_wherever_members_are_companion_powers(monkeypatch
             checker(CheckerParams(k=3, r=1, **bounds))
 
 
+def test_q_power_steps_from_a_kept_neighbour(monkeypatch):
+    from kbonacci import identities
+    from kbonacci.builders import CACHE_SIZE
+    from kbonacci.sequences import term
+
+    monkeypatch.setattr(identities, "_Q_POWERS", {})
+    powers = []
+    power = SquareMatrix.__pow__
+    monkeypatch.setattr(SquareMatrix, "__pow__", lambda m, e: powers.append(e) or power(m, e))
+    for j in (5, 6, 4, 7, 3, -1, -2, 0, 6000, 5999, 6001, -6000, -5999):
+        # Q^j = [[F(j+1), F(j)], [F(j), F(j-1)]] at every integer j
+        assert identities._q_power(j).rows == ((term(2, j + 1), term(2, j)), (term(2, j), term(2, j - 1)))
+    # only powers with no kept neighbour are raised by squaring
+    assert powers == [5, 1, 6000, 6000]
+    # the kept powers are bounded
+    for j in range(10, 10 + 3 * CACHE_SIZE):
+        identities._q_power(j)
+        assert len(identities._Q_POWERS) <= CACHE_SIZE
+
+
 def test_square_series_incremental_guard(monkeypatch):
     from kbonacci import identities
 

@@ -1,0 +1,145 @@
+"""Tests for the report writer's fast paths and the payload rows they read.
+
+json_chunks writes a list or tuple of strings only (a matrix row) once
+per distinct object inside one list or tuple, and reuses that text where
+the same object repeats; it writes a report case with no counterexample
+from one template.  Both must give exactly what json.dumps writes, with
+ints quoted or not, on values that mix repeated rows, rows of mixed
+types, empty rows, case-shaped dicts of every near shape and generators
+of them.  The payload of a class table shares one list between the rows
+of equal digit sum; to_json_dict and jsonify must still hand out lists
+of their own.
+"""
+
+from __future__ import annotations
+
+import json
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbonacci.builders import _digit_sums, build_higher
+from kbonacci.identities import FAILS, SuiteResult, _case, _member, _serialize, json_chunks, jsonify
+from kbonacci.matrix import to_json_dict
+from kbonacci.sequences import term
+
+TEXT = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "é中", "null", "{}"])
+INTS = st.integers(-(10**40), 10**40)
+SCALARS = INTS | st.booleans() | st.none() | TEXT
+ROWS = (
+    st.lists(TEXT, min_size=1, max_size=4)
+    | st.lists(TEXT, min_size=1, max_size=4).map(tuple)
+    # mixed types, nested and empty rows take the generic path
+    | st.lists(SCALARS, max_size=4)
+    | st.lists(st.lists(TEXT, max_size=2), max_size=2)
+    | st.sampled_from([[], ()])
+)
+
+
+class Gen(list):
+    """A generator in the blueprint of a value; build() makes it one."""
+
+
+@st.composite
+def shared_rows(draw):
+    """A list or tuple in which the same row objects repeat."""
+    distinct = draw(st.lists(ROWS, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=8))
+    rows = [distinct[i] for i in picks]
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+PAYLOADS = shared_rows() | st.fixed_dictionaries({"dim": INTS, "entries": shared_rows()})
+PARAMS = st.dictionaries(st.sampled_from("jkmnr"), INTS, max_size=4)
+
+
+@st.composite
+def cases(draw):
+    """A dict of a report case's four keys, or of a near shape."""
+    params = draw(PARAMS)
+    if draw(st.booleans()):
+        params["note"] = draw(TEXT)
+    case = {
+        "counterexample": draw(st.none() | st.fixed_dictionaries({"lhs": PAYLOADS, "rhs": PAYLOADS})),
+        "id": draw(TEXT | SCALARS | shared_rows()),
+        "params": params,
+        "status": draw(TEXT | SCALARS),
+    }
+    if draw(st.booleans()):
+        case[draw(TEXT | st.just("reason"))] = draw(SCALARS | shared_rows())
+    return case
+
+
+ITEMS = cases() | shared_rows() | PARAMS | SCALARS
+BLUEPRINTS = (
+    st.lists(ITEMS, max_size=5)
+    | st.lists(ITEMS, max_size=5).map(Gen)
+    | st.dictionaries(TEXT, ITEMS | st.lists(cases(), max_size=4).map(Gen), max_size=4)
+)
+
+
+def build(blueprint):
+    """The value a blueprint stands for: each Gen a generator of its items,
+    at the top or as a dict value; every other object as it is, so repeated
+    objects stay one."""
+    if isinstance(blueprint, Gen):
+        return (item for item in blueprint)
+    if isinstance(blueprint, dict):
+        return {key: build(item) if isinstance(item, Gen) else item for key, item in blueprint.items()}
+    return blueprint
+
+
+@settings(max_examples=300, deadline=None)
+@given(BLUEPRINTS)
+def test_fast_paths_match_json_dumps(blueprint):
+    expected = json.dumps(jsonify(blueprint), indent=2, sort_keys=True)
+    assert "".join(json_chunks(build(blueprint))) == expected
+    assert "".join(json_chunks(build(blueprint), quote_ints=True)) == expected
+    expected = json.dumps(blueprint, indent=2, sort_keys=True)
+    assert "".join(json_chunks(build(blueprint), quote_ints=False)) == expected
+
+
+def test_a_repeated_row_is_written_at_its_own_depth():
+    row = ["1", "2"]
+    value = {"a": [row, [row, row], (row,)], "b": row}
+    for quote_ints in (False, True):
+        assert "".join(json_chunks(value, quote_ints)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+LEVELS = [(k, r) for k in (2, 3, 4) for r in range(1, 7) if k**r <= 64]
+
+
+@pytest.mark.parametrize("k, r", LEVELS)
+@pytest.mark.parametrize("j", [-7, 0, 5])
+def test_payload_rows_of_equal_digit_sum_are_one_list(k, r, j):
+    table = _member(partial(term, k), k, r, j)
+    payload = _serialize(table, k, r)
+    assert payload == to_json_dict(build_higher(k, r, j))
+    ds = _digit_sums(k, r)[0]
+    rows = payload["entries"]
+    for R, row in enumerate(rows):
+        assert all(type(entry) is str for entry in row)
+        for C, other in enumerate(rows):
+            assert (row is other) == (ds[R] == ds[C])
+
+
+@pytest.mark.parametrize("k, r", [(k, r) for k, r in LEVELS if r >= 2])
+def test_copies_of_a_payload_do_not_share_rows(k, r):
+    table = _member(partial(term, k), k, r, 3)
+    case = _case("mixed", {"k": k, "r": r}, table, 2 * table)
+    assert case.status == FAILS
+    shared = case.counterexample["lhs"]["entries"]
+    twins = [R for R, row in enumerate(shared) if row is shared[1]]
+    assert len(twins) >= 2
+    before = jsonify(case.counterexample)
+    copies = [
+        jsonify(case.counterexample)["lhs"]["entries"],
+        SuiteResult("mixed", {}, (case,)).to_json_dict()["cases"][0]["counterexample"]["lhs"]["entries"],
+    ]
+    for entries in copies:
+        assert entries == shared
+        entries[twins[0]][0] = "changed"
+        assert entries[twins[1]] == shared[twins[1]] != entries[twins[0]]
+    assert jsonify(case.counterexample) == before
