@@ -32,6 +32,12 @@ MATRIX_DIM_CAP = 1024
 # peaks at about 250 MiB
 ORDER_CAP = 10**7
 
+# largest k * |j| that `term` takes, by either method: its arithmetic grows
+# with that product.  `term --k 2 --j 25000000` and `term --k ORDER_CAP
+# --j 5` are at the cap; the first takes about 17 s on a 2-CPU machine,
+# where `--j 1000000000` would make a term of about 2*10^8 digits
+TERM_CAP = 5 * ORDER_CAP
+
 
 class _UsageError(Exception):
     pass
@@ -159,6 +165,8 @@ def _check_order(k) -> None:
 
 def _cmd_term(args) -> int:
     _check_order(args.k)
+    if args.k * abs(args.j) > TERM_CAP:
+        raise _UsageError(f"--k times |--j| exceeds the term cap of {TERM_CAP}")
     if args.method == "qpow":
         value = builders.fast_term(args.k, args.j)
     else:

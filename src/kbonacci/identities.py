@@ -617,12 +617,17 @@ def json_chunks(value, quote_ints: bool = True):
     jsonify's rules hold: ints become decimal strings, tuples become
     lists, and None, booleans and strings pass through.  quote_ints=False
     writes ints as JSON numbers instead.  Finite floats are written as
-    float.__repr__ writes them, and a generator as a list, one item at a
-    time, each item in one chunk.  A function stands for the value it
+    float.__repr__ writes them.  A function stands for the value it
     returns, called when that value is written, after the keys that sort
     before it.  Dictionary keys must be strings.
+
+    The top-level value, and a list, tuple or generator directly in it,
+    are written one item per chunk; each item below is one chunk, joined
+    once from its pieces (_write), and a dict of scalars or a report case
+    with no counterexample is one str.format of a cached template
+    (_template).
     """
-    return _chunks(value, "\n", quote_ints)
+    return _chunks(value, "\n", quote_ints, True)
 
 
 def _scalar_json(value, quote_ints: bool) -> str | None:
@@ -644,90 +649,145 @@ def _scalar_json(value, quote_ints: bool) -> str | None:
     return None
 
 
-# a report case's keys, and the text of one without a counterexample:
-# {0} comes before each key, {1}, {2} and {3} are the texts of its id,
-# params and status, and {4} comes before the closing brace
-_CASE_KEYS = frozenset({"counterexample", "id", "params", "status"})
-_PLAIN_CASE = '{{{0}"counterexample": null,{0}"id": {1},{0}"params": {2},{0}"status": {3}{4}}}'
-
-
-def _text(value, newline: str, quote_ints: bool) -> str:
-    """json_chunks' text of value at the level of _chunks(value, newline), in one piece."""
-    text = _scalar_json(value, quote_ints)
-    return "".join(_chunks(value, newline, quote_ints)) if text is None else text
-
-
-def _row(value, newline: str) -> str | None:
-    """The text of a list or tuple of strings only, as a matrix row is
-    written, in one piece; None for any other list or tuple."""
-    if set(map(type, value)) != {str}:
-        return None
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
-
-
-def _chunks(value, newline: str, quote_ints: bool):
-    """json_chunks at the nesting level whose closing bracket follows
-    newline."""
-    text = _scalar_json(value, quote_ints)
-    if text is not None:
-        yield text
-        return
-    inner = newline + "  "
-    sep = "," + inner
-    rows = None
+def _container(value):
+    """The brackets of a dict, list, tuple or generator and its (head,
+    item) pairs in the order they are written; None for any other value."""
     if isinstance(value, dict):
-        if value.keys() == _CASE_KEYS and value["counterexample"] is None:
-            texts = (_text(value[key], inner, quote_ints) for key in ("id", "params", "status"))
-            yield _PLAIN_CASE.format(inner, *texts, newline)
-            return
-        brackets = "{}"
-        items = ((_quote(key) + ": ", value[key]) for key in sorted(value))
-    elif isinstance(value, (list, tuple, GeneratorType)):
-        brackets = "[]"
-        if not isinstance(value, GeneratorType):
-            text = _row(value, newline)
-            if text is not None:
-                yield text
-                return
-            # the value keeps its items alive, so an id names one item:
-            # a row that repeats is tested and written once
-            rows = {}
-        items = (("", v) for v in value)
-    elif callable(value):
-        yield from _chunks(value(), newline, quote_ints)
+        return "{}", ((_quote(key) + ": ", value[key]) for key in sorted(value))
+    if isinstance(value, (list, tuple, GeneratorType)):
+        return "[]", (("", item) for item in value)
+    return None
+
+
+def _chunks(value, newline: str, quote_ints: bool, top: bool):
+    """json_chunks at the nesting level whose closing bracket follows
+    newline; top streams a list, tuple or generator item the same way."""
+    container = _container(value)
+    if container is None:
+        out = []
+        _write(value, newline, quote_ints, out)
+        yield "".join(out)
         return
-    else:
-        raise TypeError(f"cannot serialize {value!r}")
+    brackets, items = container
+    inner = newline + "  "
     opening = brackets[0] + inner
-    whole = isinstance(value, GeneratorType)
     for head, item in items:
-        if rows is not None and isinstance(item, (list, tuple)):
-            if id(item) not in rows:
-                rows[id(item)] = _row(item, inner)
-            text = rows[id(item)]
-        else:
-            text = _scalar_json(item, quote_ints)
-        if text is None and whole:
-            text = "".join(_chunks(item, inner, quote_ints))
-        if text is None:
+        if top and isinstance(item, (list, tuple, GeneratorType)):
             yield opening + head
-            yield from _chunks(item, inner, quote_ints)
+            yield from _chunks(item, inner, quote_ints, False)
         else:
-            yield opening + head + text
-        opening = sep
-    yield newline + brackets[1] if opening == sep else brackets
+            out = [opening + head]
+            _write(item, inner, quote_ints, out)
+            yield "".join(out)
+        opening = "," + inner
+    yield brackets if opening[0] != "," else newline + brackets[1]
 
 
-def _case_sort_key(c: CheckCase):
-    parts = []
-    for key in sorted(c.params):
-        v = c.params[key]
-        if isinstance(v, int) and not isinstance(v, bool):
-            parts.append((key, 0, v, ""))
+# the most shapes that _template and _sorted_names each keep: the default
+# and dense grids have 16 plain-case shapes and 9 tuples of param names
+SHAPE_CACHE_SIZE = 128
+
+
+def _brace(text: str) -> str:
+    """text as literal text of a str.format template."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _template(case: tuple | None, names: tuple, newline: str, slot: str) -> str:
+    """The str.format template of a dict with keys names, in insertion
+    order, whose i-th value is written as slot % i; with case a (checker,
+    status) pair, of a report case with no counterexample and that dict
+    as its params."""
+    inner = newline + "  "
+    if case is None:
+        items = sorted((name, slot % i) for i, name in enumerate(names))
+    else:
+        checker, status = (_brace(_quote(text)) for text in case)
+        params = _template(None, names, inner, slot)
+        items = [("counterexample", "null"), ("id", checker), ("params", params), ("status", status)]
+    if not items:
+        return "{{}}"
+    return "{{" + inner + ("," + inner).join(_brace(_quote(key)) + ": " + text for key, text in items) + newline + "}}"
+
+
+def _filled(case: tuple | None, value: dict, newline: str, quote_ints: bool) -> str | None:
+    """_template's text of value, filled with the texts of its values;
+    None if one of them is not a scalar."""
+    names, values = tuple(value), value.values()
+    if {int}.issuperset(map(type, values)):
+        try:
+            return _template(case, names, newline, '"{%d}"' if quote_ints else "{%d}").format(*values)
+        except ValueError:
+            pass  # an int past the interpreter's int-to-text digit limit
+    texts = [_scalar_json(v, quote_ints) for v in values]
+    return None if None in texts else _template(case, names, newline, "{%d}").format(*texts)
+
+
+_CASE_KEYS = frozenset({"counterexample", "id", "params", "status"})
+
+
+def _write(value, newline: str, quote_ints: bool, out: list) -> None:
+    """Append json_chunks' text of value, at the nesting level whose
+    closing bracket follows newline, to out: a scalar, a row of strings, a
+    dict of scalars or a plain case as one string, any other value piece
+    by piece, so that no piece is copied before the chunk is joined."""
+    if isinstance(value, dict):
+        text = None
+        if value.keys() == _CASE_KEYS and value["counterexample"] is None:
+            case, params = (value["id"], value["status"]), value["params"]
+            if set(map(type, case)) == {str} and type(params) is dict:
+                text = _filled(case, params, newline, quote_ints)
+        text = text or _filled(None, value, newline, quote_ints)
+    elif isinstance(value, (list, tuple)) and set(map(type, value)) == {str}:  # a matrix row
+        inner = newline + "  "
+        text = "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+    else:
+        text = _scalar_json(value, quote_ints)
+    if text:
+        out.append(text)
+        return
+    container = _container(value)
+    if container is None:
+        if not callable(value):
+            raise TypeError(f"cannot serialize {value!r}")
+        _write(value(), newline, quote_ints, out)
+        return
+    brackets, items = container
+    inner = newline + "  "
+    opening = brackets[0] + inner
+    # a list or tuple keeps its items alive, so an id names one item: an
+    # item that repeats, such as a payload row, is written once
+    repeats = {} if isinstance(value, (list, tuple)) else None
+    for head, item in items:
+        out.append(opening + head)
+        if repeats is not None and id(item) in repeats:
+            out += repeats[id(item)]
         else:
-            parts.append((key, 1, 0, str(v)))
-    return (c.checker, tuple(parts))
+            start = len(out)
+            _write(item, inner, quote_ints, out)
+            if repeats is not None and isinstance(item, (list, tuple)):
+                repeats[id(item)] = out[start:]
+        opening = "," + inner
+    out.append(brackets if opening[0] != "," else newline + brackets[1])
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _sorted_names(names: tuple) -> tuple:
+    return tuple(sorted(names))
+
+
+def _case_sort_key(c: CheckCase) -> tuple:
+    """The case's place in report order: its checker id, then for each
+    param by name, the name, 0 and an int value (bools excluded), or the
+    name, 1 and the value's str.  Each shape of params reads its sorted
+    names from a cache; the key is one flat tuple."""
+    params = c.params
+    key = [c.checker]
+    for name in _sorted_names(tuple(params)):
+        v = params[name]
+        key += (name, 0, v) if isinstance(v, int) and v is not True and v is not False else (name, 1, str(v))
+    return tuple(key)
 
 
 def _combos(checker, grid: SuiteGrid):

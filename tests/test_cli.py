@@ -255,6 +255,31 @@ def test_order_cap_admits_the_cap(capsys, monkeypatch):
     assert run_cli(capsys, "blocks", "--k", k, "--count", "0")[0] == 0
 
 
+def test_term_cap_exits_2_before_any_arithmetic(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no arithmetic may start past the term cap")
+
+    patched = [(sequences, "x_power_mod"), (builders, "x_power_mod"), (sequences, "term"), (builders, "fast_term")]
+    for owner, name in patched:
+        monkeypatch.setattr(owner, name, refuse)
+    over = cli.TERM_CAP // 2 + 1
+    for k, j in ((2, 10**9), (2, -(10**9)), (2, over), (2, -over), (cli.ORDER_CAP, 6), (3, 10**4300 - 1)):
+        for method in ("iter", "qpow"):
+            argv = ("term", "--k", str(k), "--j", str(j), "--method", method)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: --k times |--j| exceeds the term cap of {cli.TERM_CAP}\n", argv
+
+
+def test_term_cap_admits_the_cap(capsys, monkeypatch):
+    assert cli.TERM_CAP == 5 * cli.ORDER_CAP
+    monkeypatch.setattr(sequences, "term", lambda k, j: j)
+    monkeypatch.setattr(builders, "fast_term", lambda k, j: j)
+    for k, j in ((2, 10**7), (2, -(cli.TERM_CAP // 2)), (cli.ORDER_CAP, 5), (cli.TERM_CAP // 7, 7)):
+        for method in ("iter", "qpow"):
+            assert run_cli(capsys, "term", "--k", str(k), "--j", str(j), "--method", method) == (0, f"{j}\n", "")
+
+
 # ---------------------------------------------------------------------------
 # blocks
 

@@ -3,21 +3,25 @@
 json_chunks writes a list or tuple of strings only (a matrix row) once
 per distinct object inside one list or tuple, and reuses that text where
 the same object repeats; it writes a report case with no counterexample
-from one template.  Both must give exactly what json.dumps writes, with
-ints quoted or not, on values that mix repeated rows, rows of mixed
-types, empty rows, case-shaped dicts of every near shape and generators
-of them.  The payload of a class table shares one list between the rows
-of equal digit sum; to_json_dict and jsonify must still hand out lists
-of their own.
+from one template per checker, status and params shape, and any other
+dict of scalars from one template per shape of keys.  All must give
+exactly what json.dumps writes, with ints quoted or not, on values that
+mix repeated rows, rows of mixed types, empty rows, case-shaped dicts of
+every near shape and generators of them, and on keys, strings and ints
+that would trip a careless template.  A top-level list still streams
+item by item.  The payload of a class table shares one list between the
+rows of equal digit sum; to_json_dict and jsonify must still hand out
+lists of their own.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci.builders import _digit_sums, build_higher
@@ -143,3 +147,67 @@ def test_copies_of_a_payload_do_not_share_rows(k, r):
         entries[twins[0]][0] = "changed"
         assert entries[twins[1]] == shared[twins[1]] != entries[twins[0]]
     assert jsonify(case.counterexample) == before
+
+
+# Template fast paths: a dict of scalars is written from one str.format
+# template per shape of keys, and a case with no counterexample from one
+# per checker, status and params shape.  Keys and strings hold what would
+# break an unescaped template; bools must not take an int's slot; ints
+# cross 10^600, where decimal_text divides and conquers, and the
+# 4,300-digit int-to-text limit, where str.format raises.
+SIGN = st.sampled_from((1, -1))
+DIGITS = st.sampled_from([600, 4299, 4300, 4400])
+BIG = st.builds(lambda sign, digits, low: sign * (10**digits + low), SIGN, DIGITS, st.integers(0, 10**9))
+BRACED = st.text(alphabet='{}"\\é中\U0001f600 ab0:!%', max_size=6) | st.sampled_from(["{0}", "{}", "}{", "{k}", "%d"])
+NAMES = st.sampled_from(["j", "k", "m", "n", "r", "s", "note", "part", "reading"]) | BRACED
+VALUES = INTS | BIG | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False) | BRACED
+FLAT = st.dictionaries(NAMES, VALUES, max_size=5)
+PLAIN_CASES = st.fixed_dictionaries(
+    {
+        "counterexample": st.none(),
+        "id": BRACED | st.sampled_from(["geometric", "lucas_pair", "power_expansion"]),
+        "params": FLAT,
+        "status": BRACED | st.sampled_from(["holds", "skipped"]),
+    }
+)
+
+
+def quoted(value):
+    """jsonify's copy of value, with floats kept."""
+    if isinstance(value, float):
+        return value
+    if isinstance(value, dict):
+        return {key: quoted(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [quoted(v) for v in value]
+    return jsonify(value)
+
+
+def bare(value) -> str:
+    """json.dumps of value, ints as numbers, with the int-to-text limit lifted."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(0)
+    try:
+        return json.dumps(value, indent=2, sort_keys=True)
+    finally:
+        if set_limit:
+            set_limit(limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLAT | PLAIN_CASES, max_size=4))
+@example([{"k": True, "r": False, "n": 1}, {"counterexample": None, "id": "{0}", "params": {"{}": 2}, "status": "}"}])
+@example([{"counterexample": None, "id": "x", "params": {"n": 10**5000, "m": 10**600}, "status": "holds"}])
+def test_templates_match_json_dumps_at_two_depths(items):
+    # the items sit at depth 1, and at depth 3 below the dict and list
+    for value in (items, {"deep": [{"items": items}], "top": items}):
+        assert "".join(json_chunks(value)) == json.dumps(quoted(value), indent=2, sort_keys=True)
+        assert "".join(json_chunks(value, quote_ints=False)) == bare(value)
+
+
+@given(st.lists(INTS | BIG, max_size=30))
+def test_a_top_level_list_is_written_item_by_item(values):
+    for value in (values, (v for v in values), {"values": values}):
+        assert len(list(json_chunks(value))) >= len(values)

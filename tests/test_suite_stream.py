@@ -1,11 +1,14 @@
 """The identity suite as a stream: iter_suite yields the cases in report
-order as they are made, and run_suite is that stream collected."""
+order as they are made, and run_suite is that stream collected.  Report
+order is _case_sort_key's, which must order cases exactly as the
+generic key it replaced did."""
 
 from __future__ import annotations
 
 import functools
 import tracemalloc
 from collections import Counter
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +19,14 @@ from kbonacci.identities import (
     CHECKER_IDS,
     CHECKERS,
     MEMBER_CACHE_SIZE,
+    SHAPE_CACHE_SIZE,
+    CheckCase,
     CheckerParams,
     SuiteGrid,
     _case_sort_key,
     _combos,
     iter_suite,
+    json_chunks,
     run_suite,
 )
 from kbonacci.sequences import lucas_term, term
@@ -175,3 +181,67 @@ def test_the_member_cache_stays_bounded_and_ends_with_the_run():
     # a checker called on its own is a run of its own
     CHECKERS["fl_double"](CheckerParams(k=2, r=2))
     assert cache.cache_info().currsize == 0
+
+
+def reference_sort_key(c: CheckCase):
+    """The report-order key as it was before each shape of params read its
+    sorted names from a cache: one (name, kind, int, str) part per param."""
+    parts = []
+    for key in sorted(c.params):
+        v = c.params[key]
+        if isinstance(v, int) and not isinstance(v, bool):
+            parts.append((key, 0, v, ""))
+        else:
+            parts.append((key, 1, 0, str(v)))
+    return (c.checker, tuple(parts))
+
+
+def comparisons(keys):
+    return [(a < b, a == b, a > b) for a, b in pairwise(keys)]
+
+
+def assert_same_order(cases):
+    """_case_sort_key sorts cases as the reference key does, and the two
+    agree on every adjacent comparison, as made and as sorted."""
+    old = [reference_sort_key(c) for c in cases]
+    new = [_case_sort_key(c) for c in cases]
+    assert comparisons(new) == comparisons(old)
+    order = sorted(range(len(cases)), key=old.__getitem__)
+    assert sorted(range(len(cases)), key=new.__getitem__) == order
+    assert comparisons([new[i] for i in order]) == comparisons([old[i] for i in order])
+
+
+@pytest.mark.parametrize("grid", [DEFAULT, DENSE], ids=["default", "dense"])
+def test_the_sort_key_orders_the_grids_as_the_reference_does(grid):
+    assert_same_order([case for _, stream in streams(grid) for case in stream])
+
+
+# params of the shapes the checkers make, mixed: power_expansion's skipped
+# case (note for j), geometric's scalar cases and its readings,
+# lucas_pair's parts; values include bools and ints past 10^600
+INDEX = st.integers(-3, 3) | st.booleans() | st.integers(-(10**700), 10**700) | st.none()
+TEXT = st.sampled_from(["corrected", "literal-identity", "literal-ones", "fib-sum", "lucas-sum", "1", "True", ""])
+PARAMS = st.fixed_dictionaries(
+    {"k": st.integers(2, 4), "r": st.integers(0, 3)},
+    optional={"n": INDEX, "j": INDEX, "m": INDEX, "s": INDEX | TEXT, "reading": TEXT | INDEX, "part": TEXT},
+)
+SKIPPED = st.builds(
+    lambda k, r: {"k": k, "r": r, "n": k, "note": "requires 1 <= n <= k-1"}, st.integers(2, 4), st.integers(0, 3)
+)
+CHECKER = st.sampled_from(["geometric", "lucas_pair", "power_expansion"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(CheckCase, CHECKER, PARAMS | SKIPPED, st.just("holds")), min_size=2, max_size=30))
+def test_the_sort_key_orders_mixed_shapes_as_the_reference_does(cases):
+    assert_same_order(cases)
+
+
+def test_the_shape_caches_stay_at_their_bound():
+    for i in range(10 * SHAPE_CACHE_SIZE):
+        params = {"k": 2, "r": 0, f"p{i}": i}
+        "".join(json_chunks([{"counterexample": None, "id": "fl_double", "params": params, "status": "holds"}]))
+        _case_sort_key(CheckCase("fl_double", params, "holds"))
+    for cache in (identities._template, identities._sorted_names):
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == SHAPE_CACHE_SIZE
