@@ -145,9 +145,9 @@ def fast_term(k: int, j: int) -> int:
 
     With c = x^(j >> 1) mod P_k and d = x^(j - (j >> 1)) mod P_k, x^j is
     c(x) d(x), and the top coefficient of x^i d(x) is term(k, m + i) for
-    m = j - (j >> 1), so term(k, j) = sum of c_i * top(x^i d).  The tops
-    come from stepping d by x, which only adds, so the last, largest level
-    costs k products instead of a squaring's k(k+1)/2.
+    m = j - (j >> 1), so term(k, j) = sum of c_i * top(x^i d).  A step by x
+    adds the top to every coefficient, so top(x^i d) is d_(k-1-i) plus the
+    tops before it, and the last level costs k products, not k(k+1)/2.
 
     Always takes the polynomial path, never the term window, so it stays
     an independent check on term() at every index.
@@ -155,9 +155,10 @@ def fast_term(k: int, j: int) -> int:
     _validate_order(k)
     _require_int("index", j, 0)
     half = x_power_mod(k, j >> 1)
-    step = _times_x(half) if j & 1 else half
-    tops = []
-    for _ in range(k):
-        tops.append(step[-1])
-        step = _times_x(step)
-    return sum(map(mul, half, tops))
+    d = _times_x(half) if j & 1 else half
+    before = total = 0
+    for c, coefficient in zip(half, reversed(d)):
+        top = coefficient + before
+        before += top
+        total += c * top
+    return total

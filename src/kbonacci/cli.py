@@ -285,20 +285,13 @@ def _verify_plain(run):
         params = " ".join(f"{key}={case.params[key]}" for key in sorted(case.params))
         status = case.status
         if status == "fails":
-            status = "fails (expected)" if case.reason is not None else "fails (UNEXPECTED)"
+            status = "fails (UNEXPECTED)" if case.unexpected else "fails (expected)"
         yield f"{case.checker:20} {status:20} {params}\n"
     counts = run.counts
     yield (
         "\ncases: {total}  holds: {holds}  holds-corrected: {corrected}  "
-        "fails: {fails} (unexpected: {unexpected})  skipped: {skipped}\n".format(
-            total=sum(counts.values()),
-            holds=counts["holds"],
-            corrected=counts["holds-corrected"],
-            fails=counts["fails"],
-            unexpected=run.unexpected,
-            skipped=counts["skipped"],
-        )
-    )
+        "fails: {fails} (unexpected: {unexpected})  skipped: {skipped}\n"
+    ).format(total=sum(counts.values()), corrected=counts["holds-corrected"], unexpected=run.unexpected, **counts)
     yield f"pass: {'yes' if run.passed else 'no'}\n"
 
 

@@ -81,17 +81,23 @@ class CheckerParams:
 @dataclass(frozen=True)
 class CheckCase:
     """Outcome of one identity instance.  A failing case carries the
-    documented reason it is expected to fail, or None when it is not.
+    documented reason it is expected to fail, or None when it is not: it
+    is then unexpected, and a suite run that meets it does not pass.
 
     counterexample is read-only: in a table's payload the rows of equal
-    digit sum are one shared list.  SuiteResult.to_json_dict() and
-    jsonify return fresh copies."""
+    digit sum are one shared list.  A run's to_json_dict() and jsonify
+    return fresh copies."""
 
     checker: str
     params: dict
     status: str
     counterexample: dict | None = None
     reason: str | None = None
+
+    @property
+    def unexpected(self) -> bool:
+        """A failure with no documented reason."""
+        return self.status == FAILS and self.reason is None
 
 
 def _member(value, k: int, r: int, j: int) -> SquareMatrix:
@@ -189,7 +195,7 @@ def _checker(order: int | None = None, min_r: int = 0):
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
                 raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
-            return SuiteResult(checker_id, asdict(p), tuple(_in_report_order([(stream, [p])])))
+            return SuiteResult(checker_id, asdict(p), _in_report_order([(stream, [p])]))
 
         check.order = order
         check.min_r = min_r
@@ -544,61 +550,10 @@ class SuiteGrid:
         return tuple(levels)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    """The cases of one checker run (suite is the checker id, grid its
-    CheckerParams) or of a run_suite call."""
-
-    suite: str
-    grid: dict
-    cases: tuple[CheckCase, ...]
-    generated_at: str = field(default="", compare=False)
-
-    def unexpected_failures(self) -> list[CheckCase]:
-        return [c for c in self.cases if c.status == FAILS and c.reason is None]
-
-    @property
-    def passed(self) -> bool:
-        return not self.unexpected_failures()
-
-    def status_counts(self) -> dict[str, int]:
-        counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}
-        for c in self.cases:
-            counts[c.status] += 1
-        return counts
-
-    def _report(self, include_timestamp: bool) -> dict:
-        return _report(self.suite, self.grid, self.cases, self.passed, self.generated_at if include_timestamp else None)
-
-    def to_json_dict(self, include_timestamp: bool = True) -> dict:
-        return jsonify(self._report(include_timestamp))
-
-    def json_chunks(self, include_timestamp: bool = True):
-        """The text of to_json in chunks, written case by case."""
-        return json_chunks(self._report(include_timestamp))
-
-    def to_json(self, include_timestamp: bool = True) -> str:
-        """The report as json.dumps(to_json_dict(...), indent=2,
-        sort_keys=True) writes it."""
-        return "".join(self.json_chunks(include_timestamp))
-
-
-def _report(suite: str, grid: dict, cases, passed, generated_at: str | None) -> dict:
-    """A report's fields; the cases as a generator, one dict each.  passed
-    is the verdict, or a function that json_chunks calls for it after it
-    has written the cases.  generated_at None leaves the timestamp out."""
-    case_dicts = (
-        {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample} for c in cases
-    )
-    report = {"suite": suite, "grid": grid, "cases": case_dicts, "pass": passed}
-    if generated_at is not None:
-        report["generated_at"] = generated_at
-    return report
-
-
 def jsonify(value):
     """Recursively turn integers into decimal strings and tuples and
-    generators into lists; booleans, None and strings pass through."""
+    generators into lists; booleans, None and strings pass through, and a
+    function stands for the value it returns, as in json_chunks."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
@@ -607,6 +562,8 @@ def jsonify(value):
         return {key: jsonify(v) for key, v in value.items()}
     if isinstance(value, (list, tuple, GeneratorType)):
         return [jsonify(v) for v in value]
+    if callable(value):
+        return jsonify(value())
     raise TypeError(f"cannot serialize {value!r}")
 
 
@@ -854,45 +811,87 @@ def _in_report_order(runs):
         _members.cache_clear()
 
 
+def _run_fields(selection, grid: SuiteGrid | None):
+    """A run's suite name, grid, case stream and timestamp, checked before any case is made."""
+    grid = grid or SuiteGrid()
+    ids = resolve_selection(selection)
+    suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids) or "none"
+    return suite, asdict(grid), iter_suite(ids, grid), datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
 class SuiteRun:
-    """One pass over iter_suite's cases for a writer that streams them:
-    the report's fields, and the status counts and verdict of the cases
-    iterated so far."""
+    """One pass over a suite's cases: the report's fields, and the status
+    counts and verdict of the cases read so far, each tallied once as it
+    passes.  The report writes each case as it is made, the verdict last."""
 
     def __init__(self, selection=None, grid: SuiteGrid | None = None) -> None:
-        grid = grid or SuiteGrid()
-        ids = resolve_selection(selection)
-        self.suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids) or "none"
-        self.grid = asdict(grid)
-        self.generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        self.suite, self.grid, cases, self.generated_at = _run_fields(selection, grid)
+        self._cases = self._tally(cases)
+
+    def _tally(self, cases):
+        """cases, each counted into counts and unexpected as it is read."""
         self.counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}
         self.unexpected = 0
-        self._cases = iter_suite(ids, grid)
+        return map(self._count, cases)
+
+    def _count(self, case: CheckCase) -> CheckCase:
+        self.counts[case.status] += 1
+        self.unexpected += case.unexpected
+        return case
 
     def __iter__(self):
-        for case in self._cases:
-            self.counts[case.status] += 1
-            if case.status == FAILS and case.reason is None:
-                self.unexpected += 1
-            yield case
+        return iter(self._cases)
 
     @property
     def passed(self) -> bool:
         return not self.unexpected
 
-    def json_chunks(self):
-        """The report's text in chunks, each case written as it is made
-        and the verdict after them."""
-        return json_chunks(_report(self.suite, self.grid, self, lambda: self.passed, self.generated_at))
+    def _report(self, include_timestamp: bool) -> dict:
+        """The report's fields: the cases as a generator, one dict each, and the verdict as a function."""
+        cases = (
+            {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample} for c in self
+        )
+        report = {"suite": self.suite, "grid": self.grid, "cases": cases, "pass": lambda: self.passed}
+        if include_timestamp:
+            report["generated_at"] = self.generated_at
+        return report
+
+    def to_json_dict(self, include_timestamp: bool = True) -> dict:
+        return jsonify(self._report(include_timestamp))
+
+    def json_chunks(self, include_timestamp: bool = True):
+        """The text of to_json in chunks, written case by case."""
+        return json_chunks(self._report(include_timestamp))
+
+    def to_json(self, include_timestamp: bool = True) -> str:
+        """The report as json.dumps(to_json_dict(...), indent=2,
+        sort_keys=True) writes it."""
+        return "".join(self.json_chunks(include_timestamp))
+
+
+@dataclass
+class SuiteResult(SuiteRun):
+    """A collected run: the cases of one checker run (suite is the checker
+    id, grid its CheckerParams) or of a run_suite call, drained once
+    through the run's tally.  Equality compares suite, grid and cases."""
+
+    suite: str
+    grid: dict
+    cases: tuple[CheckCase, ...]
+    generated_at: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        self.cases = self._cases = tuple(self._tally(self.cases))
+
+    def unexpected_failures(self) -> list[CheckCase]:
+        return [c for c in self.cases if c.unexpected]
+
+    def status_counts(self) -> dict[str, int]:
+        return dict(self.counts)
 
 
 def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
-    """Run the selected checkers over the grid and aggregate all cases.
-
-    The aggregate passes when no case fails unexpectedly: holds,
-    holds-corrected, skipped, and documented expected failures all count
-    as success.
-    """
-    run = SuiteRun(selection, grid)
-    cases = tuple(run)
-    return SuiteResult(run.suite, run.grid, cases, run.generated_at)
+    """Run the selected checkers over the grid and collect all cases.  The
+    result passes when no case fails unexpectedly: holds, holds-corrected,
+    skipped and documented expected failures all count as success."""
+    return SuiteResult(*_run_fields(selection, grid))

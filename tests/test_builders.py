@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from kbonacci import sequences
+from kbonacci import builders, cli, sequences
 from kbonacci.bench import iterative_term
 from kbonacci.builders import CACHE_SIZE, build_base, build_higher, build_lucas, build_q, fast_f, fast_term
 from kbonacci.matrix import SquareMatrix, decompose, identity, zeros
@@ -279,3 +279,27 @@ def test_builder_cache_is_bounded(builder, args):
     for j in range(-5, CACHE_SIZE + 5):
         builder(*args, j)
     assert builder.cache_info().currsize <= CACHE_SIZE
+
+
+def test_fast_term_steps_by_x_at_most_once(monkeypatch):
+    times_x, calls = builders._times_x, []
+
+    def counting(c):
+        calls.append(len(c))
+        return times_x(c)
+
+    monkeypatch.setattr(builders, "_times_x", counting)
+    for k, j in [(2, 10), (2, 11), (5, 4096), (7, 12345), (300, 305), (300, 310), (10_000, 5)]:
+        calls.clear()
+        assert fast_term(k, j) == term(k, j), (k, j)
+        assert len(calls) == (j & 1), (k, j)
+    # s(k + i) = 2^i for 0 <= i < k: the tops of a large order by one running sum
+    assert fast_term(300, 305) == 2**5
+
+
+def test_fast_term_is_linear_in_the_order(capsys):
+    outs = []
+    for method in ("qpow", "iter"):
+        assert cli.main(["term", "--k", "100000", "--j", "5", "--method", method]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == "0\n"

@@ -245,3 +245,66 @@ def test_the_shape_caches_stay_at_their_bound():
     for cache in (identities._template, identities._sorted_names):
         info = cache.cache_info()
         assert info.maxsize == info.currsize == SHAPE_CACHE_SIZE
+
+
+def test_a_drained_run_and_run_suite_give_one_report():
+    run = identities.SuiteRun()
+    text = "".join(run.json_chunks(include_timestamp=False))
+    result = run_suite()
+    assert (run.counts, run.unexpected, run.passed) == (result.counts, result.unexpected, result.passed)
+    assert run.counts == result.status_counts() and run.passed
+    assert text == "".join(result.json_chunks(include_timestamp=False)) == result.to_json(include_timestamp=False)
+
+
+def test_a_failure_with_no_documented_reason_fails_both_reports(monkeypatch):
+    documented = identities.expected_reason
+
+    def undocumented(checker, params):
+        return None if checker == "sum_formula" else documented(checker, params)
+
+    monkeypatch.setattr(identities, "expected_reason", undocumented)
+    run = identities.SuiteRun()
+    report = run.to_json_dict(include_timestamp=False)
+    result = run_suite()
+    assert result.unexpected == run.unexpected == len(result.unexpected_failures()) > 0
+    assert {c.checker for c in result.unexpected_failures()} == {"sum_formula"}
+    assert report["pass"] is result.passed is run.passed is False
+    assert result.to_json_dict(include_timestamp=False) == report
+
+
+def test_a_hand_built_result_tallies_its_cases():
+    p = {"k": 2, "r": 0}
+    cases = (
+        CheckCase("a", p, identities.HOLDS),
+        CheckCase("a", p, identities.FAILS, reason="documented"),
+        CheckCase("a", p, identities.FAILS),
+        CheckCase("a", p, identities.HOLDS_CORRECTED),
+        CheckCase("a", p, identities.SKIPPED),
+        CheckCase("a", p, identities.FAILS),
+    )
+    result = identities.SuiteResult("mixed", {}, cases)
+    assert result.status_counts() == {"holds": 1, "fails": 3, "holds-corrected": 1, "skipped": 1}
+    assert result.unexpected_failures() == [cases[2], cases[5]] and result.unexpected == 2
+    assert not result.passed and result.generated_at == ""
+    # the tally is read, not remade: the report agrees after every write
+    for _ in range(2):
+        assert result.to_json_dict()["pass"] is False and len(result.to_json_dict()["cases"]) == 6
+    assert result.status_counts() == {"holds": 1, "fails": 3, "holds-corrected": 1, "skipped": 1}
+    assert identities.SuiteResult("mixed", {}, iter(cases), "2020") == result
+    assert identities.SuiteResult("none", {}, ()).passed
+
+
+@pytest.mark.parametrize("checker_id", ["square_convolution", "power_expansion", "square_diff"])
+def test_a_checker_result_counts_its_cases(checker_id):
+    result = CHECKERS[checker_id](CheckerParams(k=2, r=2))
+    recount = Counter(case.status for case in result.cases)
+    assert result.status_counts() == {status: recount[status] for status in result.status_counts()}
+    assert sum(recount.values()) == len(result.cases) > 0
+    assert result.unexpected == sum(case.unexpected for case in result.cases)
+    assert result.generated_at == ""
+
+
+def test_jsonify_calls_a_function_valued_field():
+    assert identities.jsonify({"a": lambda: 5}) == {"a": "5"}
+    with pytest.raises(TypeError):
+        identities.jsonify(object())
