@@ -4,7 +4,9 @@ Subcommands: term, seq, matrix, blocks, verify, bench.  Output formats
 are plain (human-aligned), json (big integers as decimal strings), and
 csv (header row, all cells quoted).  Exit codes: 0 success, 1 when
 verification finds an unexpected failure or the benchmark paths
-disagree, 2 on usage or validation errors.
+disagree, 2 on usage or validation errors.  Every refusal, the parser's
+and the library's alike, is a ValueError, and main turns each into one
+"error:" line and exit 2 in one place.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ ORDER_CAP = 10**7
 TERM_CAP = 5 * ORDER_CAP
 
 
-class _UsageError(Exception):
-    pass
-
-
 # longest quoted value that a usage error echoes back whole
 ECHO_CHARS = 40
 
@@ -59,40 +57,42 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse echoes a rejected value whole, and an integer flag may
         # carry thousands of digits
-        raise _UsageError(re.sub(r"""(['"]).*?\1""", _shorten, message))
+        raise ValueError(re.sub(r"""(['"]).*?\1""", _shorten, message))
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kbonacci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        """The flags every subcommand takes, and the handler that main runs."""
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("term", help="one sequence term")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--method", choices=("iter", "qpow"), default="iter")
-    add_common(p)
+    add_common(p, _cmd_term)
 
     p = sub.add_parser("seq", help="a contiguous run of terms, negative indices included")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--from", dest="j_lo", type=int, required=True)
     p.add_argument("--to", dest="j_hi", type=int, required=True)
-    add_common(p)
+    add_common(p, _cmd_seq)
 
     p = sub.add_parser("matrix", help="one member of a matrix family")
     p.add_argument("--family", choices=("F", "L", "Q"), default="F")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--j", type=int, default=None)
-    add_common(p)
+    add_common(p, _cmd_matrix)
 
     p = sub.add_parser("blocks", help="backward blocks with property annotations")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    add_common(p)
+    add_common(p, _cmd_blocks)
 
     p = sub.add_parser("verify", help="run identity checkers and report")
     p.add_argument("--suite", default="all", help="'all' or comma-separated checker ids")
@@ -103,13 +103,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-m", dest="m_max", metavar="MAX_M", type=int)
     p.add_argument("--max-j", dest="j_max", metavar="MAX_J", type=int)
     p.add_argument("--min-j", dest="j_min", metavar="MIN_J", type=int)
-    add_common(p)
+    add_common(p, _cmd_verify)
 
     p = sub.add_parser("bench", help="time the plain recurrence against x^j mod P_k evaluation")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j-max", dest="j_max", type=int, required=True)
     p.add_argument("--step", type=int, default=None)
-    add_common(p)
+    add_common(p, _cmd_bench)
 
     return parser
 
@@ -160,13 +160,13 @@ def _check_order(k) -> None:
     """Refuse k > ORDER_CAP before any term is made; k < 2 is left to the
     library's own check."""
     if k > ORDER_CAP:
-        raise _UsageError(f"--k exceeds the order cap of {ORDER_CAP}")
+        raise ValueError(f"--k exceeds the order cap of {ORDER_CAP}")
 
 
 def _cmd_term(args) -> int:
     _check_order(args.k)
     if args.k * abs(args.j) > TERM_CAP:
-        raise _UsageError(f"--k times |--j| exceeds the term cap of {TERM_CAP}")
+        raise ValueError(f"--k times |--j| exceeds the term cap of {TERM_CAP}")
     if args.method == "qpow":
         value = builders.fast_term(args.k, args.j)
     else:
@@ -204,32 +204,27 @@ def _check_matrix_dim(k, r) -> None:
     is refused without forming k^r; smaller k or r are left to the
     builders' own checks."""
     if k >= 2 and r >= 1 and (r > MATRIX_DIM_CAP.bit_length() or k**r > MATRIX_DIM_CAP):
-        raise _UsageError(f"matrix dimension {k}^{r} exceeds the cap of {MATRIX_DIM_CAP}")
+        raise ValueError(f"matrix dimension {k}^{r} exceeds the cap of {MATRIX_DIM_CAP}")
 
 
 def _cmd_matrix(args) -> int:
-    family = args.family
+    family, r, j = args.family, args.r, args.j
+    if family == "L" and args.k not in (None, 2):
+        raise ValueError("family L is order 2 only; omit --k or pass --k 2")
+    if family == "Q" and j is not None:
+        raise ValueError("family Q does not take --j")
+    k = 2 if family == "L" else args.k
+    if k is None:
+        raise ValueError(f"family {family} requires --k")
+    if j is None and family != "Q":
+        raise ValueError(f"family {family} requires --j")
+    _check_matrix_dim(k, r)
     if family == "L":
-        if args.k not in (None, 2):
-            raise _UsageError("family L is order 2 only; omit --k or pass --k 2")
-        if args.j is None:
-            raise _UsageError("family L requires --j")
-        _check_matrix_dim(2, args.r)
-        m = builders.build_lucas(args.r, args.j)
+        m = builders.build_lucas(r, j)
     elif family == "Q":
-        if args.j is not None:
-            raise _UsageError("family Q does not take --j")
-        if args.k is None:
-            raise _UsageError("family Q requires --k")
-        _check_matrix_dim(args.k, args.r)
-        m = builders.build_q(args.k, args.r)
+        m = builders.build_q(k, r)
     else:
-        if args.k is None:
-            raise _UsageError("family F requires --k")
-        if args.j is None:
-            raise _UsageError("family F requires --j")
-        _check_matrix_dim(args.k, args.r)
-        m = builders.build_higher(args.k, args.r, args.j)
+        m = builders.build_higher(k, r, j)
     if args.format == "plain":
         chunks = [matrix.to_text(m)]
     elif args.format == "json":
@@ -241,38 +236,34 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+def _blocks_plain(pairs):
+    """Two lines per block: its indices and values, then its properties."""
+    for block, props in pairs:
+        lo, hi = block.indices[-1], block.indices[0]
+        values = " ".join(map(matrix.decimal_text, block.values))
+        annotations = "  ".join(f"{name}={'yes' if ok else 'no'}" for name, ok in props.as_dict().items())
+        yield f"block {block.index}  indices {hi}..{lo}  values: {values}\n  {annotations}\n"
+
+
 def _cmd_blocks(args) -> int:
     _check_order(args.k)
     if args.count < 0:
-        raise _UsageError("--count must be >= 0")
+        raise ValueError("--count must be >= 0")
     sequences._validate_order(args.k)
-    blocks = []
-    for n in range(args.count):
-        block = sequences.backward_block(args.k, n)
-        blocks.append((block, sequences._properties_of(block)))
+    # each block is made as it is written
+    blocks = (sequences.backward_block(args.k, n) for n in range(args.count))
+    pairs = ((block, sequences._properties_of(block)) for block in blocks)
     if args.format == "plain":
-        lines = []
-        for block, props in blocks:
-            lo, hi = block.indices[-1], block.indices[0]
-            values = " ".join(map(matrix.decimal_text, block.values))
-            lines.append(f"block {block.index}  indices {hi}..{lo}  values: {values}")
-            annotations = "  ".join(f"{name}={'yes' if ok else 'no'}" for name, ok in props.as_dict().items())
-            lines.append(f"  {annotations}")
-        chunks = ["\n".join(lines) if lines else "no blocks requested"]
+        chunks = _blocks_plain(pairs) if args.count else ["no blocks requested"]
     elif args.format == "json":
-        chunks = json_chunks(
-            {
-                "k": args.k,
-                "count": args.count,
-                "blocks": [
-                    {"n": block.index, "indices": block.indices, "values": block.values, "properties": props.as_dict()}
-                    for block, props in blocks
-                ],
-            }
+        items = (
+            {"n": block.index, "indices": block.indices, "values": block.values, "properties": props.as_dict()}
+            for block, props in pairs
         )
+        chunks = json_chunks({"k": args.k, "count": args.count, "blocks": items})
     else:
         prop_names = (f.name for f in fields(sequences.BlockProperties))
-        rows = ((block.index, " ".join(map(matrix.decimal_text, block.values)), *astuple(props)) for block, props in blocks)
+        rows = ((block.index, " ".join(map(matrix.decimal_text, block.values)), *astuple(props)) for block, props in pairs)
         chunks = _csv_chunks(("n", "values", *prop_names), rows)
     _emit(chunks, args.output)
     return 0
@@ -335,28 +326,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "term": _cmd_term,
-    "seq": _cmd_seq,
-    "matrix": _cmd_matrix,
-    "blocks": _cmd_blocks,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return _HANDLERS[args.command](args)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

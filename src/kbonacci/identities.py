@@ -310,8 +310,10 @@ def check_geometric(p: CheckerParams, X, L):
             yield {"n": n}, running, 2**n - X(k + n)
             continue
         yield {"n": n, "reading": "corrected"}, running, (2**n) * X(k) - X(k + n), None, HOLDS_CORRECTED
-        # the identity has no class table, so this side stays dense
-        literal = (2**n) * identity(k**p.r) - build_higher(k, p.r, k + n)
+        # the identity has no class table, so this side is dense: X(k+n)
+        # expanded to its k^r entries
+        dense = chain.from_iterable(_entries(X(k + n), k, p.r))
+        literal = (2**n) * identity(k**p.r) - SquareMatrix._of(tuple(dense), k**p.r)
         yield {"n": n, "reading": "literal-identity"}, running, literal, None, HOLDS
         ones = (2**n) * _member(lambda i: 1, k, p.r, 0) - X(k + n)
         yield {"n": n, "reading": "literal-ones"}, running, ones, None, HOLDS

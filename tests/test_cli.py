@@ -848,3 +848,42 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "term", "--k", "2", "--j", "9", "--output", str(target))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_matrix_usage_error_lines(capsys):
+    for argv, line in (
+        (("--family", "L", "--k", "3", "--r", "1", "--j", "1"), "family L is order 2 only; omit --k or pass --k 2"),
+        (("--family", "L", "--r", "1"), "family L requires --j"),
+        (("--family", "Q", "--k", "2", "--r", "1", "--j", "4"), "family Q does not take --j"),
+        (("--family", "Q", "--r", "1"), "family Q requires --k"),
+        (("--family", "F", "--r", "1", "--j", "1"), "family F requires --k"),
+        (("--family", "F", "--k", "2", "--r", "1"), "family F requires --j"),
+        (("--family", "F", "--k", "2", "--r", "0", "--j", "1"), "level must be an integer >= 1, got 0"),
+    ):
+        assert run_cli(capsys, "matrix", *argv) == (2, "", f"error: {line}\n"), argv
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_blocks_writes_before_the_last_block_is_made(monkeypatch, fmt):
+    count = 20
+    built = []
+    backward_block = sequences.backward_block
+
+    def spy(k, n):
+        built.append(n)
+        return backward_block(k, n)
+
+    class Stdout(io.StringIO):
+        made_at_first_write = None
+
+        def write(self, text):
+            if self.made_at_first_write is None:
+                self.made_at_first_write = len(built)
+            return super().write(text)
+
+    stdout = Stdout()
+    monkeypatch.setattr(sequences, "backward_block", spy)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["blocks", "--k", "3", "--count", str(count), "--format", fmt]) == 0
+    assert stdout.made_at_first_write < count
+    assert built == list(range(count))

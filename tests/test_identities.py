@@ -277,6 +277,18 @@ def test_companion_shadow_runs_wherever_members_are_companion_powers(monkeypatch
             checker(CheckerParams(k=3, r=1, **bounds))
 
 
+def test_geometric_reads_its_literal_identity_member_through_x(monkeypatch):
+    from kbonacci import identities
+
+    def refuse(*args):
+        raise AssertionError("geometric reads X(k+n), not the builders")
+
+    monkeypatch.setattr(identities, "build_higher", refuse)
+    for k in (2, 3, 4):
+        for r in (1, 2):
+            assert CHECKERS["geometric"](CheckerParams(k=k, r=r, n_max=4)).passed, (k, r)
+
+
 def test_q_power_steps_from_a_kept_neighbour(monkeypatch):
     from kbonacci import identities
     from kbonacci.builders import CACHE_SIZE
