@@ -128,7 +128,9 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
     (a, c) of F_r(1).  Within one row of F_r(1), row[t::inner] holds entry
     t of each of the row's k blocks.  That costs O(k^3 log j) products for
     the power plus k^(2r+1) for the lift, against O(k^(3r) log j) for
-    powering Q_r itself.
+    powering Q_r itself.  A row of F_r(1) is a function of its digit sum,
+    so each of its r(k-1)+1 distinct rows is lifted once, keyed by value,
+    and the lift is reused for its equal rows.
     """
     _validate_order(k)
     _validate_level(r)
@@ -136,8 +138,8 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
     q_cols = tuple(zip(*(build_q(k, 1) ** (j - 1)).rows))
     inner = k ** (r - 1)
     rows = build_higher(k, r, 1).rows
-    flat = (sum(map(mul, col, row[t::inner])) for row in rows for col in q_cols for t in range(inner))
-    return SquareMatrix._of(tuple(flat), k * inner)
+    lifted = {row: [sum(map(mul, col, row[t::inner])) for col in q_cols for t in range(inner)] for row in set(rows)}
+    return SquareMatrix._of(tuple(chain.from_iterable(map(lifted.__getitem__, rows))), k * inner)
 
 
 def fast_term(k: int, j: int) -> int:

@@ -37,7 +37,9 @@ ORDER_CAP = 10**7
 # largest k * |j| that `term` takes, by either method: its arithmetic grows
 # with that product.  `term --k 2 --j 25000000` and `term --k ORDER_CAP
 # --j 5` are at the cap; the first takes about 17 s on a 2-CPU machine,
-# where `--j 1000000000` would make a term of about 2*10^8 digits
+# where `--j 1000000000` would make a term of about 2*10^8 digits.  It
+# also bounds dim^2 * |j| of `matrix`, whose dim^2 entries have up to
+# about |j| bits each
 TERM_CAP = 5 * ORDER_CAP
 
 
@@ -198,13 +200,18 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _check_matrix_dim(k, r) -> None:
-    """Refuse k^r > MATRIX_DIM_CAP before anything is built.  k >= 2 at
-    least doubles the dimension per level, so r past the cap's bit length
-    is refused without forming k^r; smaller k or r are left to the
-    builders' own checks."""
-    if k >= 2 and r >= 1 and (r > MATRIX_DIM_CAP.bit_length() or k**r > MATRIX_DIM_CAP):
+def _check_matrix_size(k, r, j) -> None:
+    """Refuse k^r > MATRIX_DIM_CAP, then (k^r)^2 * |j| > TERM_CAP, before
+    anything is built; j is None for family Q, whose entries are 0 and 1.
+    k >= 2 at least doubles the dimension per level, so r past the cap's
+    bit length is refused without forming k^r; smaller k or r are left to
+    the builders' own checks."""
+    if k < 2 or r < 1:
+        return
+    if r > MATRIX_DIM_CAP.bit_length() or k**r > MATRIX_DIM_CAP:
         raise ValueError(f"matrix dimension {k}^{r} exceeds the cap of {MATRIX_DIM_CAP}")
+    if j is not None and k ** (2 * r) * abs(j) > TERM_CAP:
+        raise ValueError(f"matrix dimension squared times |--j| exceeds the term cap of {TERM_CAP}")
 
 
 def _cmd_matrix(args) -> int:
@@ -218,7 +225,7 @@ def _cmd_matrix(args) -> int:
         raise ValueError(f"family {family} requires --k")
     if j is None and family != "Q":
         raise ValueError(f"family {family} requires --j")
-    _check_matrix_dim(k, r)
+    _check_matrix_size(k, r, j)
     if family == "L":
         m = builders.build_lucas(r, j)
     elif family == "Q":

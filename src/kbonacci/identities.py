@@ -15,13 +15,15 @@ Scalar cases run at level r = 0 on sequence terms; matrix cases run the
 same shape of identity on the level-r block family, each member held as
 its w-scaled class table over digit-sum pairs (_member), a SquareMatrix
 of dimension r(k-1)+1 whose arithmetic is that of the dense members.
-Two stay dense: the right side of geometric's literal identity-matrix
-reading, and q_power, which compares the builders with the
-companion-power path.  Every checker's cases are made by one generator
-that is handed its evaluators.  At order 2 and level 1 every member is a
-power of the companion matrix Q, so there each checker's generator also
-runs on plain powers of Q, an independent second oracle; a disagreement
-there is a library defect and raises instead of reporting.
+The right side of geometric's literal identity-matrix reading,
+c*I - X(k+n), is held as the pair (c, X(k+n)) and decided and written
+from the class table too (_IdentityMinus); only q_power, which compares
+the builders with the companion-power path, stays dense.  Every
+checker's cases are made by one generator that is handed its
+evaluators.  At order 2 and level 1 every member is a power of the
+companion matrix Q, so there each checker's generator also runs on plain
+powers of Q, an independent second oracle; a disagreement there is a
+library defect and raises instead of reporting.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from types import GeneratorType
 
 from .builders import CACHE_SIZE, _digit_sums, _member_table, _spread, build_higher, fast_f
 from .expectations import expected_reason
-from .matrix import SquareMatrix, _require_int, decimal_text, identity, to_json_dict
+from .matrix import SquareMatrix, _require_int, decimal_text
 from .sequences import lucas_term, term
 
 HOLDS = "holds"
@@ -114,32 +116,76 @@ def _member(value, k: int, r: int, j: int) -> SquareMatrix:
     return SquareMatrix._of(tuple(flat), len(w))
 
 
+def _classes(m: SquareMatrix, k: int, r: int):
+    """(ds, w) of the classes m is over: the digit sums of a scaled table
+    (dimension r(k-1)+1, below k^r for r >= 2), or single positions (w all
+    1) for a dense matrix of dimension k^r."""
+    n = m.dim
+    return (range(n), (1,) * n) if n == k**r else _digit_sums(k, r)
+
+
 def _entries(m: SquareMatrix, k: int, r: int, cell=int):
-    """Rows of the dense level-r matrix of order k that m stands for: m
-    itself at dimension k^r, else m is a scaled table (dimension r(k-1)+1,
-    below k^r for r >= 2), unscaled and passed through cell once per class
-    before it is spread by digit sum."""
-    if m.dim == k**r:
-        return m.rows
-    ds, w = _digit_sums(k, r)
+    """Rows of the dense level-r matrix of order k that m stands for, a
+    scaled table or a dense matrix: m unscaled and passed through cell once
+    per pair of classes, then spread by class, so that rows of one class
+    are one tuple."""
+    ds, w = _classes(m, k, r)
     return _spread([[cell(x // c) for x, c in zip(row, w)] for row in m.rows], ds)
 
 
+class _IdentityMinus(tuple):
+    """The pair (c, m), a member m and an int c, for c*I - m, I of
+    dimension k^r.  I has no class table for r >= 2, so _same and
+    _serialize decide and write c*I - m from the pair, at class level.
+    Pairs compare as tuples."""
+
+    __slots__ = ()
+
+    def equals(self, a: SquareMatrix, k: int, r: int) -> bool:
+        """a == c*I - m, for a of m's kind: E = a + m is 0 off the diagonal,
+        E[u][u] = c*w[u], and c = 0 if some class has w[u] >= 2, as such a
+        class has positions off the diagonal, where c*I is 0."""
+        c, m = self
+        w = _classes(m, k, r)[1]
+        if c and max(w) > 1:
+            return False
+        d = len(w)
+        return a + m == SquareMatrix._of(tuple(c * w[u] if u == v else 0 for u in range(d) for v in range(d)), d)
+
+    def payload(self, k: int, r: int) -> dict:
+        """The JSON form (matrix.to_json_dict's) of the dense c*I - m, from
+        one decimal_text per distinct value: -m per pair of classes, spread
+        by class, and c - m per class on the diagonal."""
+        c, m = self
+        ds, w = _classes(m, k, r)
+        entries = [list(row) for row in _entries(m, k, r, lambda x: decimal_text(-x))]
+        diagonal = [decimal_text(c - row[u] // w[u]) for u, row in enumerate(m.rows)]
+        for R, u in enumerate(ds):
+            entries[R][R] = diagonal[u]
+        return {"dim": len(ds), "entries": entries}
+
+
 def _serialize(value, k: int, r: int):
-    """One side's report payload: decimal text, or a matrix's JSON form,
-    where a scaled table's rows of equal digit sum are one shared list."""
+    """One side's report payload: decimal text, or the JSON form
+    (matrix.to_json_dict's) of the dense matrix that a table or matrix
+    stands for, laid out from one decimal text per pair of classes, so that
+    rows of equal digit sum are one shared list; a literal identity side is
+    laid out from its pair."""
+    if isinstance(value, _IdentityMinus):
+        return value.payload(k, r)
     if not isinstance(value, SquareMatrix):
         return decimal_text(value)
-    if value.dim == k**r:
-        return to_json_dict(value)
     rows = _entries(value, k, r, decimal_text)
     shared = {id(row): list(row) for row in rows}
-    return {"dim": k**r, "entries": [shared[id(row)] for row in rows]}
+    return {"dim": len(rows), "entries": [shared[id(row)] for row in rows]}
 
 
 def _same(a, b, k: int, r: int) -> bool:
-    """a == b, where at a matrix level a scaled table may meet a dense
-    matrix; the two then compare by the entries they stand for."""
+    """a == b.  b may be a literal identity side, decided from its pair;
+    at a matrix level a scaled table may meet a dense matrix, and the two
+    then compare by the entries they stand for."""
+    if isinstance(b, _IdentityMinus):
+        return b.equals(a, k, r)
     if r and a.dim != b.dim:
         return _entries(a, k, r) == _entries(b, k, r)
     return a == b
@@ -310,11 +356,7 @@ def check_geometric(p: CheckerParams, X, L):
             yield {"n": n}, running, 2**n - X(k + n)
             continue
         yield {"n": n, "reading": "corrected"}, running, (2**n) * X(k) - X(k + n), None, HOLDS_CORRECTED
-        # the identity has no class table, so this side is dense: X(k+n)
-        # expanded to its k^r entries
-        dense = chain.from_iterable(_entries(X(k + n), k, p.r))
-        literal = (2**n) * identity(k**p.r) - SquareMatrix._of(tuple(dense), k**p.r)
-        yield {"n": n, "reading": "literal-identity"}, running, literal, None, HOLDS
+        yield {"n": n, "reading": "literal-identity"}, running, _IdentityMinus((2**n, X(k + n))), None, HOLDS
         ones = (2**n) * _member(lambda i: 1, k, p.r, 0) - X(k + n)
         yield {"n": n, "reading": "literal-ones"}, running, ones, None, HOLDS
 

@@ -166,6 +166,18 @@ def test_fast_f_lift_matches_dense_companion_product():
                 reference = reference * q
 
 
+def test_fast_f_lifts_each_distinct_row_once(monkeypatch):
+    products = []
+    monkeypatch.setattr(builders, "mul", lambda a, b: products.append(1) or a * b)
+    for k, r in ((2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
+        products.clear()
+        assert fast_f(k, r, 7) == build_higher(k, r, 7), (k, r)
+        # rows of F_r(1) are equal by digit sum: r(k-1)+1 distinct rows,
+        # each lifted to k^r entries of k products
+        assert len(set(build_higher(k, r, 1).rows)) == r * (k - 1) + 1
+        assert len(products) == (r * (k - 1) + 1) * k**r * k, (k, r)
+
+
 def test_fast_f_frozen_and_domain():
     assert fast_f(2, 1, 5) == SquareMatrix([[8, 5], [5, 3]])
     for bad in (0, -1, 2.5):

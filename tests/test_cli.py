@@ -225,6 +225,61 @@ def test_matrix_dimension_cap_admits_the_cap(capsys, monkeypatch):
     assert built == [(2, 10, 1), (32, 2, 1), (10, 1), (1024, 1)]
 
 
+def test_matrix_output_bound_exits_2_without_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nothing may be built past the output bound")
+
+    for name in ("build_higher", "build_lucas", "build_q"):
+        monkeypatch.setattr(builders, name, refuse)
+    assert cli.TERM_CAP == 5 * 10**7
+    for argv in (
+        # 24.8 s and 1.2 GiB of output when it was built
+        ("matrix", "--k", "1024", "--r", "1", "--j", "3000"),
+        ("matrix", "--k", "10", "--r", "3", "--j", "51"),
+        ("matrix", "--k", "10", "--r", "3", "--j", "-51"),
+        ("matrix", "--family", "L", "--r", "10", "--j", "48"),
+        ("matrix", "--k", "2", "--r", "1", "--j", str(cli.TERM_CAP // 4 + 1)),
+        ("matrix", "--k", "2", "--r", "1", "--j", "9" * 4000),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: matrix dimension squared times |--j| exceeds the term cap of {cli.TERM_CAP}\n", argv
+    # the dimension cap and the family rules are checked first, as before
+    code, _, err = run_cli(capsys, "matrix", "--k", "2", "--r", "11", "--j", "1000000000")
+    assert (code, err) == (2, f"error: matrix dimension 2^11 exceeds the cap of {cli.MATRIX_DIM_CAP}\n")
+    code, _, err = run_cli(capsys, "matrix", "--family", "L", "--k", "3", "--r", "1", "--j", "1000000000")
+    assert (code, err) == (2, "error: family L is order 2 only; omit --k or pass --k 2\n")
+    # one past a cap of dim^2 * |j| - 1
+    monkeypatch.setattr(cli, "TERM_CAP", 9 * 7 - 1)
+    code, _, err = run_cli(capsys, "matrix", "--k", "3", "--r", "1", "--j", "-7")
+    assert (code, err) == (2, "error: matrix dimension squared times |--j| exceeds the term cap of 62\n")
+
+
+def test_matrix_output_bound_admits_the_cap(capsys, monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        return matrix.identity(1)
+
+    for name in ("build_higher", "build_lucas", "build_q"):
+        monkeypatch.setattr(builders, name, record)
+    argvs = [
+        ("matrix", "--k", "10", "--r", "3", "--j", "50"),
+        ("matrix", "--k", "10", "--r", "3", "--j", "-50"),
+        ("matrix", "--family", "L", "--r", "10", "--j", "47"),
+        ("matrix", "--k", "2", "--r", "1", "--j", str(cli.TERM_CAP // 4)),
+        ("matrix", "--family", "Q", "--k", "1024", "--r", "1"),
+    ]
+    for argv in argvs:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    monkeypatch.setattr(cli, "TERM_CAP", 9 * 7)
+    code, _, err = run_cli(capsys, "matrix", "--k", "3", "--r", "1", "--j", "-7")
+    assert (code, err) == (0, "")
+    assert built == [(10, 3, 50), (10, 3, -50), (10, 47), (2, 1, 12_500_000), (1024, 1), (3, 1, -7)]
+
+
 def test_order_cap_exits_2_without_allocating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("no sequence may be made past the order cap")

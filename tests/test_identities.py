@@ -289,6 +289,24 @@ def test_geometric_reads_its_literal_identity_member_through_x(monkeypatch):
             assert CHECKERS["geometric"](CheckerParams(k=k, r=r, n_max=4)).passed, (k, r)
 
 
+def test_geometric_literal_identity_side_stays_at_class_level(monkeypatch):
+    from kbonacci import identities, matrix
+
+    dims, texts = [], []
+    of = SquareMatrix._of.__func__
+    monkeypatch.setattr(SquareMatrix, "_of", classmethod(lambda cls, flat, n: dims.append(n) or of(cls, flat, n)))
+    for module in (identities, matrix):
+        monkeypatch.setattr(module, "decimal_text", lambda n: texts.append(n) or str(n))
+    cases = CHECKERS["geometric"](CheckerParams(k=4, r=3, n_max=3)).cases
+    d = 10  # r(k-1)+1 digit sums, against k^r = 64 positions
+    assert max(dims) == d
+    statuses = {(c.params["reading"], c.status) for c in cases}
+    assert statuses == {("corrected", HOLDS_CORRECTED), ("literal-identity", FAILS), ("literal-ones", FAILS)}
+    # a table side is written from its d^2 values, the literal identity
+    # side from d^2 off the diagonal and d on it
+    assert len(texts) == 3 * (d * d + d * d + d) + 3 * (d * d + d * d)
+
+
 def test_q_power_steps_from_a_kept_neighbour(monkeypatch):
     from kbonacci import identities
     from kbonacci.builders import CACHE_SIZE
