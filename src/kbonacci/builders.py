@@ -14,8 +14,9 @@ k^(r-1), and is filled from that product entry by entry.  fast_f
 powers the k-by-k companion matrix, lifts the result blockwise and
 serves as the oracle for the matrix laws.  fast_term evaluates single
 terms from x^j mod P_k(x) instead: k(k+1)/2 big-integer squarings per
-bit of j, the last bit's replaced by k products, against O(k^3 log j)
-products for the companion power.
+bit of j, the last bit's replaced by about k/2 products (the seeds'
+zeros empty half of the last level's Hankel form), against
+O(k^3 log j) products for the companion power.
 
 Every matrix built here is wrapped unchecked (SquareMatrix._of): its
 entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
@@ -143,24 +144,40 @@ def fast_f(k: int, r: int, j: int) -> SquareMatrix:
 
 
 def fast_term(k: int, j: int) -> int:
-    """term(k, j) for j >= 0, from x^j mod P_k(x) stopped one squaring short.
+    """term(k, j) for j >= 0, from x^m mod P_k(x), m = j - (j >> 1), with
+    no last squaring.
 
-    With c = x^(j >> 1) mod P_k and d = x^(j - (j >> 1)) mod P_k, x^j is
-    c(x) d(x), and the top coefficient of x^i d(x) is term(k, m + i) for
-    m = j - (j >> 1), so term(k, j) = sum of c_i * top(x^i d).  A step by x
-    adds the top to every coefficient, so top(x^i d) is d_(k-1-i) plus the
-    tops before it, and the last level costs k products, not k(k+1)/2.
+    With c = x^m mod P_k, s(m + n) = sum of c_i s(i + n), so s(j) is the
+    Hankel form sum over i, l of c_i c_l s(i + l - e), e = j & 1.  The
+    seeds give s(-1) = 1 and s(n) = 0 for 0 <= n <= k - 2, so for odd j
+    row and column 0 leave only c_0^2, and for either parity the block
+    of e <= i, l < a vanishes, a = (k + e) // 2.  What is left is the sum
+    over l >= a of c_l (2 U_l + V_l), with U_l and V_l the sums of
+    c_i s(i + l - e) over e <= i < a and over i >= a.  2 U_l + V_l is the
+    top coefficient of x^(l-e) w(x), w(x) the sum of 2 c_i x^i over
+    e <= i < a and of c_i x^i over i >= a.  A step by x adds the top to
+    every coefficient, so top(x^t w) is w_(k-1-t) plus the tops before
+    it, one running sum.  The last level costs k - a products, plus
+    c_0^2 at odd j, where a last squaring would cost k(k+1)/2 squarings;
+    at k = 2 that is F(m)(2F(m-1) + F(m)) for even j and
+    F(m-1)^2 + F(m)^2, two squarings, for odd j.
 
     Always takes the polynomial path, never the term window, so it stays
     an independent check on term() at every index.
     """
     _validate_order(k)
     _require_int("index", j, 0)
-    half = x_power_mod(k, j >> 1)
-    d = _times_x(half) if j & 1 else half
-    before = total = 0
-    for c, coefficient in zip(half, reversed(d)):
+    e = j & 1
+    c = x_power_mod(k, j >> 1)
+    if e:
+        c = _times_x(c)
+    a = (k + e) // 2
+    total = c[0] * c[0] if e else 0
+    before = 0
+    for l, coefficient in enumerate(reversed([2 * x for x in c[e:a]] + c[a:]), e):
         top = coefficient + before
         before += top
-        total += c * top
+        if l >= a:
+            # CPython squares faster than it multiplies two ints
+            total += c[l] * c[l] if top == c[l] else c[l] * top
     return total

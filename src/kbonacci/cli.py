@@ -42,6 +42,14 @@ ORDER_CAP = 10**7
 # about |j| bits each
 TERM_CAP = 5 * ORDER_CAP
 
+# largest cost estimate min(k, |j|)^2 * |j|^1.585 that `term --method qpow`
+# takes: x^j mod P_k costs about k^2/2 Karatsuba squarings of ints of up to
+# |j| bits per bit of j, fewer while j < k leaves the coefficients sparse.
+# On a 2-CPU machine (Python 3.11.7) that read 0.7 to 3.7 s per 10^12:
+# `--k 1000 --j 50000` (2.8*10^13) took 45 s; `--k 5 --j 10000000`
+# (3.1*10^12) and `--k 12 --j 4000000` (4.2*10^12), inside the cap, about 9 s
+QPOW_CAP = 5 * 10**12
+
 
 # longest quoted value that a usage error echoes back whole
 ECHO_CHARS = 40
@@ -170,6 +178,8 @@ def _cmd_term(args) -> int:
     if args.k * abs(args.j) > TERM_CAP:
         raise ValueError(f"--k times |--j| exceeds the term cap of {TERM_CAP}")
     if args.method == "qpow":
+        if min(args.k, abs(args.j)) ** 2 * abs(args.j) ** 1.585 > QPOW_CAP:
+            raise ValueError(f"--method qpow's cost estimate min(k, |j|)^2 * |j|^1.585 exceeds the cap of {QPOW_CAP}")
         value = builders.fast_term(args.k, args.j)
     else:
         value = sequences.term(args.k, args.j)

@@ -181,13 +181,10 @@ def _serialize(value, k: int, r: int):
 
 
 def _same(a, b, k: int, r: int) -> bool:
-    """a == b.  b may be a literal identity side, decided from its pair;
-    at a matrix level a scaled table may meet a dense matrix, and the two
-    then compare by the entries they stand for."""
+    """a == b, for two sides of one kind.  b may be a literal identity
+    side, decided from its pair."""
     if isinstance(b, _IdentityMinus):
         return b.equals(a, k, r)
-    if r and a.dim != b.dim:
-        return _entries(a, k, r) == _entries(b, k, r)
     return a == b
 
 

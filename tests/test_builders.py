@@ -8,6 +8,8 @@ construction, so the two paths cross-check each other.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbonacci import builders, cli, sequences
 from kbonacci.bench import iterative_term
@@ -209,9 +211,18 @@ def test_fast_term_beyond_the_window_cap():
 
 
 def test_fast_term_matches_the_plain_recurrence_at_band_edges():
-    for k in range(2, 9):
-        for j in (0, 1, 2 * k - 2, 2 * k - 1, 2 * k, 2 * k + 1, 9_999, 10_000):
+    # 2 * (k // 2) +- 1 and 2k +- 1 put both parities on each side of the
+    # edge of the Hankel form's vanishing block
+    for k in range(2, 17):
+        edge = 2 * (k // 2)
+        for j in (0, 1, edge - 1, edge, edge + 1, 2 * k - 2, 2 * k - 1, 2 * k, 2 * k + 1, 9_999, 10_000):
             assert fast_term(k, j) == iterative_term(k, j), (k, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 16), j=st.integers(0, 3000))
+def test_fast_term_matches_the_plain_recurrence(k, j):
+    assert fast_term(k, j) == iterative_term(k, j)
 
 
 def test_fast_term_stops_one_squaring_early(monkeypatch):
@@ -310,8 +321,9 @@ def test_fast_term_steps_by_x_at_most_once(monkeypatch):
 
 
 def test_fast_term_is_linear_in_the_order(capsys):
-    outs = []
-    for method in ("qpow", "iter"):
-        assert cli.main(["term", "--k", "100000", "--j", "5", "--method", method]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == "0\n"
+    for j in ("5", "6"):
+        outs = []
+        for method in ("qpow", "iter"):
+            assert cli.main(["term", "--k", "100000", "--j", j, "--method", method]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == "0\n", j

@@ -330,9 +330,33 @@ def test_term_cap_admits_the_cap(capsys, monkeypatch):
     assert cli.TERM_CAP == 5 * cli.ORDER_CAP
     monkeypatch.setattr(sequences, "term", lambda k, j: j)
     monkeypatch.setattr(builders, "fast_term", lambda k, j: j)
-    for k, j in ((2, 10**7), (2, -(cli.TERM_CAP // 2)), (cli.ORDER_CAP, 5), (cli.TERM_CAP // 7, 7)):
+    # every pair is also inside the qpow cost cap, (1000, 16000) near it
+    for k, j in (
+        (2, 10**7), (2, -(cli.TERM_CAP // 2)), (cli.ORDER_CAP, 5), (cli.TERM_CAP // 7, 7), (1000, 16_000), (8, 10**6)
+    ):
         for method in ("iter", "qpow"):
             assert run_cli(capsys, "term", "--k", str(k), "--j", str(j), "--method", method) == (0, f"{j}\n", "")
+
+
+def test_qpow_cost_cap_exits_2_before_any_arithmetic(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no arithmetic may start past the qpow cost cap")
+
+    patched = [(sequences, "x_power_mod"), (builders, "x_power_mod"), (sequences, "term"), (builders, "fast_term")]
+    for owner, name in patched:
+        monkeypatch.setattr(owner, name, refuse)
+    assert cli.QPOW_CAP == 5 * 10**12
+    # --k 1000 --j 50000 took 45 s; 17000 is the first thousand past the cap at k = 1000
+    for k, j in ((1000, 50_000), (1000, -50_000), (1000, 17_000), (2000, 20_000), (50, 10**6)):
+        code, out, err = run_cli(capsys, "term", "--k", str(k), "--j", str(j), "--method", "qpow")
+        assert (code, out) == (2, ""), (k, j)
+        assert err == (
+            f"error: --method qpow's cost estimate min(k, |j|)^2 * |j|^1.585 exceeds the cap of {cli.QPOW_CAP}\n"
+        ), (k, j)
+    # the window path is not bounded by qpow's cost
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "term", "--k", "1000", "--j", "50000")
+    assert code == 0 and out[:-1].isdigit()
 
 
 # ---------------------------------------------------------------------------
