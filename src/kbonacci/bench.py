@@ -9,8 +9,7 @@ informational.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .builders import fast_term
 from .matrix import _require_int, decimal_text
@@ -26,14 +25,11 @@ class BenchMismatch(RuntimeError):
         self.j = j
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    """One benchmark grid point."""
+class BenchRow(namedtuple("BenchRow", "j iter_seconds qpow_seconds digits")):
+    """One benchmark grid point: the index j, the two paths' times in
+    seconds (floats) and the term's decimal digit count."""
 
-    j: int
-    iter_seconds: float
-    qpow_seconds: float
-    digits: int
+    __slots__ = ()
 
 
 def dec_digits(n: int) -> int:
@@ -50,9 +46,10 @@ def iterative_term(k: int, j: int) -> int:
         for _ in range(j):
             a, b = b, a + b
         return a
-    window = deque([0] * (k - 1) + [1], maxlen=k)
+    # the seed window is k - 1 zeros and then a one
     if j < k:
-        return window[j]
+        return int(j == k - 1)
+    window = deque([0] * (k - 1) + [1], maxlen=k)
     # the next term is the sum of the window; the sum then gains the new
     # term and loses the one that drops out
     total = 1
@@ -63,20 +60,26 @@ def iterative_term(k: int, j: int) -> int:
     return window[-1]
 
 
-def run_bench(k: int, j_max: int, step: int | None = None) -> list[BenchRow]:
-    """Time both paths at j = step, 2*step, ..., j_max.
-
-    Every row's two values are compared; a disagreement raises
-    BenchMismatch.  step defaults to j_max (a single row).
-    """
+def bench_indices(k: int, j_max: int, step: int | None = None) -> range:
+    """The indices run_bench times, j = step, 2*step, ..., j_max, with
+    its arguments checked.  step defaults to j_max (a single row)."""
     _validate_order(k)
     if step is None:
         step = j_max
     _require_int("j_max", j_max, 1)
     if not isinstance(step, int) or isinstance(step, bool) or not 1 <= step <= j_max:
         raise ValueError(f"step must satisfy 1 <= step <= j_max, got {step!r}")
+    return range(step, j_max + 1, step)
+
+
+def run_bench(k: int, j_max: int, step: int | None = None) -> list[BenchRow]:
+    """Time both paths at each of bench_indices(k, j_max, step).
+
+    Every row's two values are compared; a disagreement raises
+    BenchMismatch.
+    """
     rows = []
-    for j in range(step, j_max + 1, step):
+    for j in bench_indices(k, j_max, step):
         t0 = time.perf_counter()
         via_iter = iterative_term(k, j)
         t1 = time.perf_counter()

@@ -12,14 +12,12 @@ and the library's alike, is a ValueError, and main turns each into one
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, fields
 
 from . import bench as bench_mod
 from . import builders, matrix, sequences
@@ -157,6 +155,9 @@ def _write(chunks, handle) -> None:
 def _csv_chunks(header, rows):
     """The header and then each row as CSV text, all cells quoted, one
     chunk per row; int cells are written by matrix.decimal_text."""
+    # imported here: no command but a csv one needs it
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
     for row in itertools.chain((header,), rows):
@@ -173,13 +174,19 @@ def _check_order(k) -> None:
         raise ValueError(f"--k exceeds the order cap of {ORDER_CAP}")
 
 
+def _check_qpow(k, j) -> None:
+    """Refuse x^j mod P_k whose cost estimate exceeds QPOW_CAP; k and |j|
+    are already bounded by the term cap."""
+    if min(k, abs(j)) ** 2 * abs(j) ** 1.585 > QPOW_CAP:
+        raise ValueError(f"--method qpow's cost estimate min(k, |j|)^2 * |j|^1.585 exceeds the cap of {QPOW_CAP}")
+
+
 def _cmd_term(args) -> int:
     _check_order(args.k)
     if args.k * abs(args.j) > TERM_CAP:
         raise ValueError(f"--k times |--j| exceeds the term cap of {TERM_CAP}")
     if args.method == "qpow":
-        if min(args.k, abs(args.j)) ** 2 * abs(args.j) ** 1.585 > QPOW_CAP:
-            raise ValueError(f"--method qpow's cost estimate min(k, |j|)^2 * |j|^1.585 exceeds the cap of {QPOW_CAP}")
+        _check_qpow(args.k, args.j)
         value = builders.fast_term(args.k, args.j)
     else:
         value = sequences.term(args.k, args.j)
@@ -195,6 +202,8 @@ def _cmd_term(args) -> int:
 
 def _cmd_seq(args) -> int:
     _check_order(args.k)
+    if args.k * max(abs(args.j_lo), abs(args.j_hi)) > TERM_CAP:
+        raise ValueError(f"--k times max(|--from|, |--to|) exceeds the term cap of {TERM_CAP}")
     values = sequences.term_range(args.k, args.j_lo, args.j_hi)
     indices = range(args.j_lo, args.j_hi + 1)
     if args.format == "plain":
@@ -279,9 +288,8 @@ def _cmd_blocks(args) -> int:
         )
         chunks = json_chunks({"k": args.k, "count": args.count, "blocks": items})
     else:
-        prop_names = (f.name for f in fields(sequences.BlockProperties))
-        rows = ((block.index, " ".join(map(matrix.decimal_text, block.values)), *astuple(props)) for block, props in pairs)
-        chunks = _csv_chunks(("n", "values", *prop_names), rows)
+        rows = ((block.index, " ".join(map(matrix.decimal_text, block.values)), *props) for block, props in pairs)
+        chunks = _csv_chunks(("n", "values", *sequences.BlockProperties._fields), rows)
     _emit(chunks, args.output)
     return 0
 
@@ -304,7 +312,7 @@ def _verify_plain(run):
 
 
 def _cmd_verify(args) -> int:
-    flags = {f.name: getattr(args, f.name, None) for f in fields(SuiteGrid)}
+    flags = {name: getattr(args, name, None) for name in SuiteGrid._fields}
     grid = SuiteGrid(**{name: value for name, value in flags.items() if value is not None})
     selection = None if args.suite.strip() == "all" else [s.strip() for s in args.suite.split(",") if s.strip()]
     # checks the selection and the grid before anything is written
@@ -325,6 +333,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_order(args.k)
+    js = bench_mod.bench_indices(args.k, args.j_max, args.step)
+    # both paths run at every row, so the term cap bounds the rows' total
+    if args.k * len(js) * (js[0] + js[-1]) // 2 > TERM_CAP:
+        raise ValueError(f"--k times the sum of the rows' j exceeds the term cap of {TERM_CAP}")
+    _check_qpow(args.k, args.j_max)
     rows = bench_mod.run_bench(args.k, args.j_max, args.step)
     if args.format == "plain":
         header = f"{'j':>10}  {'iter_seconds':>14}  {'qpow_seconds':>14}  {'digits':>10}"
@@ -334,11 +348,10 @@ def _cmd_bench(args) -> int:
         ]
         chunks = ["\n".join([header, *body])]
     elif args.format == "json":
-        step = args.step if args.step is not None else args.j_max
-        payload = {"k": args.k, "j_max": args.j_max, "step": step, "rows": [asdict(row) for row in rows]}
+        payload = {"k": args.k, "j_max": args.j_max, "step": js.step, "rows": [row._asdict() for row in rows]}
         chunks = json_chunks(payload)
     else:
-        chunks = _csv_chunks(("j", "iter_seconds", "qpow_seconds", "digits"), map(astuple, rows))
+        chunks = _csv_chunks(bench_mod.BenchRow._fields, rows)
     _emit(chunks, args.output)
     return 0
 

@@ -10,18 +10,15 @@ touching checker logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class ExpectedDeviation:
-    """One known-failing identity family."""
+class ExpectedDeviation(namedtuple("ExpectedDeviation", "checker reason min_k min_r readings", defaults=(2, 0, None))):
+    """One known-failing identity family: the checker id and the reason
+    (str), the least order and level it fails at (int), and the readings
+    it fails for (a tuple of str, or None for every reading)."""
 
-    checker: str
-    reason: str
-    min_k: int = 2
-    min_r: int = 0
-    readings: tuple[str, ...] | None = None
+    __slots__ = ()
 
     def matches(self, checker: str, params: dict) -> bool:
         if checker != self.checker:

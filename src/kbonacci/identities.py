@@ -31,8 +31,8 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
+import time
+from collections import namedtuple
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import mul
@@ -59,42 +59,43 @@ def _check_bounds(grid) -> None:
         raise ValueError("empty parameter grid")
 
 
-@dataclass(frozen=True)
-class CheckerParams:
-    """Grid for one checker run: order k, level r, and index bounds.
+def _checked_make(cls, values):
+    """namedtuple's _make, through which _replace builds, by way of
+    cls.__new__ and its checks."""
+    return cls(*values)
+
+
+class CheckerParams(namedtuple("CheckerParams", "k r n_max m_max j_min j_max", defaults=(2, 0, 12, 12, -6, 12))):
+    """Grid for one checker run: order k, level r, and index bounds, all
+    ints, checked when the record is made.
 
     r = 0 selects the scalar form; r >= 1 selects the level-r matrix
     form.  Parity-scaled identities derive their exponent from r.
     """
 
-    k: int = 2
-    r: int = 0
-    n_max: int = 12
-    m_max: int = 12
-    j_min: int = -6
-    j_max: int = 12
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_int("order", self.k, 2)
         _require_int("level", self.r, 0)
         _check_bounds(self)
+        return self
 
 
-@dataclass(frozen=True)
-class CheckCase:
-    """Outcome of one identity instance.  A failing case carries the
-    documented reason it is expected to fail, or None when it is not: it
-    is then unexpected, and a suite run that meets it does not pass.
+class CheckCase(namedtuple("CheckCase", "checker params status counterexample reason", defaults=(None, None))):
+    """Outcome of one identity instance: the checker id (str), the case's
+    params (dict), its status, the counterexample (dict or None) and the
+    reason (str or None).  A failing case carries the documented reason it
+    is expected to fail, or None when it is not: it is then unexpected,
+    and a suite run that meets it does not pass.
 
     counterexample is read-only: in a table's payload the rows of equal
     digit sum are one shared list.  A run's to_json_dict() and jsonify
     return fresh copies."""
 
-    checker: str
-    params: dict
-    status: str
-    counterexample: dict | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def unexpected(self) -> bool:
@@ -238,7 +239,7 @@ def _checker(order: int | None = None, min_r: int = 0):
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
                 raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
-            return SuiteResult(checker_id, asdict(p), _in_report_order([(stream, [p])]))
+            return SuiteResult(checker_id, p._asdict(), _in_report_order([(stream, [p])]))
 
         check.order = order
         check.min_r = min_r
@@ -548,31 +549,33 @@ CHECKER_IDS = tuple(CHECKERS)
 # suite driver
 
 
-@dataclass(frozen=True)
-class SuiteGrid:
-    """Suite-level parameter grid.
+class SuiteGrid(
+    namedtuple(
+        "SuiteGrid",
+        "max_k max_r n_max m_max j_min j_max dim_cap extra_fib_level",
+        defaults=(4, 2, 12, 12, -6, 12, 27, 3),
+    )
+):
+    """Suite-level parameter grid, all ints (extra_fib_level may be None),
+    checked when the record is made.
 
     Matrix levels run for r = 1..max_r wherever k^r stays within
     dim_cap; the order-2 family additionally runs at extra_fib_level.
     Scalar forms always run at r = 0.
     """
 
-    max_k: int = 4
-    max_r: int = 2
-    n_max: int = 12
-    m_max: int = 12
-    j_min: int = -6
-    j_max: int = 12
-    dim_cap: int = 27
-    extra_fib_level: int | None = 3
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_int("max_k", self.max_k, 2)
         _require_int("max_r", self.max_r, 1)
         _check_bounds(self)
         _require_int("dim_cap", self.dim_cap, None)
         if self.extra_fib_level is not None:
             _require_int("extra_fib_level", self.extra_fib_level, 1)
+        return self
 
     def k_values(self) -> tuple[int, ...]:
         return tuple(range(2, self.max_k + 1))
@@ -857,7 +860,7 @@ def _run_fields(selection, grid: SuiteGrid | None):
     grid = grid or SuiteGrid()
     ids = resolve_selection(selection)
     suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids) or "none"
-    return suite, asdict(grid), iter_suite(ids, grid), datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return suite, grid._asdict(), iter_suite(ids, grid), time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 class SuiteRun:
@@ -910,19 +913,26 @@ class SuiteRun:
         return "".join(self.json_chunks(include_timestamp))
 
 
-@dataclass
 class SuiteResult(SuiteRun):
     """A collected run: the cases of one checker run (suite is the checker
     id, grid its CheckerParams) or of a run_suite call, drained once
-    through the run's tally.  Equality compares suite, grid and cases."""
+    through the run's tally.  Equality compares suite, grid and cases;
+    a result is unhashable."""
 
-    suite: str
-    grid: dict
-    cases: tuple[CheckCase, ...]
-    generated_at: str = field(default="", compare=False)
+    def __init__(self, suite: str, grid: dict, cases, generated_at: str = "") -> None:
+        self.suite, self.grid, self.generated_at = suite, grid, generated_at
+        self.cases = self._cases = tuple(self._tally(cases))
 
-    def __post_init__(self) -> None:
-        self.cases = self._cases = tuple(self._tally(self.cases))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.grid, self.cases) == (other.suite, other.grid, other.cases)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(suite={self.suite!r}, grid={self.grid!r}, "
+            f"cases={self.cases!r}, generated_at={self.generated_at!r})"
+        )
 
     def unexpected_failures(self) -> list[CheckCase]:
         return [c for c in self.cases if c.unexpected]

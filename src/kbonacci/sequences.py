@@ -20,7 +20,7 @@ runs of nearby reads cost a step each.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .matrix import _require_int
@@ -348,13 +348,12 @@ def closed_form_band(k: int, j: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class BackwardBlock:
-    """Block n of the negative-index tail: indices -(nk+1) down to -(nk+k)."""
+class BackwardBlock(namedtuple("BackwardBlock", "order index values")):
+    """Block n of the negative-index tail: indices -(nk+1) down to -(nk+k).
+    order is k, index is n, and values is a tuple of the block's k terms.
+    The field index hides tuple.index."""
 
-    order: int
-    index: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -362,20 +361,19 @@ class BackwardBlock:
         return tuple(-(base + i) for i in range(1, self.order + 1))
 
 
-@dataclass(frozen=True)
-class BlockProperties:
-    """Structural facts observed on one backward block."""
+class BlockProperties(
+    namedtuple(
+        "BlockProperties",
+        "alternating_signs zero_sum leading_matches_forward leading_is_power_of_two "
+        "last_nonzero_unit second_last_odd interior_even",
+    )
+):
+    """Structural facts observed on one backward block, each a bool."""
 
-    alternating_signs: bool
-    zero_sum: bool
-    leading_matches_forward: bool
-    leading_is_power_of_two: bool
-    last_nonzero_unit: bool
-    second_last_odd: bool
-    interior_even: bool
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
 def backward_block(k: int, n: int) -> BackwardBlock:

@@ -359,6 +359,33 @@ def test_qpow_cost_cap_exits_2_before_any_arithmetic(capsys, monkeypatch):
     assert code == 0 and out[:-1].isdigit()
 
 
+class Reached(Exception):
+    """Raised by a patched library call: the CLI began the work."""
+
+
+def reached(*args, **kwargs):
+    raise Reached(args)
+
+
+def test_seq_term_cap_exits_2_before_any_arithmetic(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "term_range", reached)
+    over = str(cli.TERM_CAP // 3 + 1)  # 3 * 16666667 is the cap + 1
+    for k, lo, hi in ((3, "0", over), (3, "-" + over, "0"), (2, "0", "100000000"), (2, "-" + "9" * 4300, "0")):
+        argv = ("seq", "--k", str(k), "--from", lo, "--to", hi)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: --k times max(|--from|, |--to|) exceeds the term cap of {cli.TERM_CAP}\n", argv
+
+
+def test_seq_term_cap_admits_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "term_range", reached)
+    for k, lo, hi in ((2, 0, cli.TERM_CAP // 2), (5, -(cli.TERM_CAP // 5), 0), (cli.ORDER_CAP, -5, 5)):
+        with pytest.raises(Reached) as info:
+            main(["seq", "--k", str(k), "--from", str(lo), "--to", str(hi)])
+        assert info.value.args[0] == (k, lo, hi)
+    assert capsys.readouterr() == ("", "")
+
+
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -621,6 +648,62 @@ def test_bench_step_validation_exits_2(capsys):
     assert err.startswith("error: ")
     code, _, err = run_cli(capsys, "bench", "--k", "2", "--j-max", "0")
     assert code == 2
+
+
+def test_bench_caps_exit_2_before_any_arithmetic(capsys, monkeypatch):
+    from kbonacci import bench
+
+    for name in ("iterative_term", "fast_term", "run_bench"):
+        monkeypatch.setattr(bench, name, reached)
+    qpow = f"error: --method qpow's cost estimate min(k, |j|)^2 * |j|^1.585 exceeds the cap of {cli.QPOW_CAP}\n"
+    for argv, err in (
+        (("--k", str(cli.ORDER_CAP + 1), "--j-max", "5"), f"error: --k exceeds the order cap of {cli.ORDER_CAP}\n"),
+        (("--k", "1", "--j-max", "5"), "error: order must be an integer >= 2, got 1\n"),
+        (("--k", "2", "--j-max", "9" * 4300, "--step", "0"), "error: step must satisfy 1 <= step <= j_max, got 0\n"),
+        # the rows' total k * j: 2 * (1 + 2 + ... + 10) * 10^6 = 1.1 * 10^8
+        (("--k", "2", "--j-max", str(10**7), "--step", str(10**6)), None),
+        (("--k", "2", "--j-max", str(cli.TERM_CAP // 2 + 1)), None),
+        (("--k", "3", "--j-max", "9" * 4300), None),
+        # ran 52.7 s on a 2-CPU machine before it was refused
+        (("--k", "1000", "--j-max", "50000"), qpow),
+        (("--k", "1000", "--j-max", "17000"), qpow),
+        (("--k", "50", "--j-max", str(10**6), "--step", str(10**6)), qpow),
+    ):
+        code, out, got = run_cli(capsys, "bench", *argv)
+        assert (code, out) == (2, ""), argv
+        assert got == (err or f"error: --k times the sum of the rows' j exceeds the term cap of {cli.TERM_CAP}\n"), argv
+
+
+def test_bench_caps_admit_the_cap(capsys, monkeypatch):
+    from kbonacci import bench
+
+    monkeypatch.setattr(bench, "run_bench", reached)
+    for argv in (
+        ("--k", "2", "--j-max", str(cli.TERM_CAP // 2)),
+        # 2 * (2.5 + 5 + 7.5 + 10) * 10^6 is the term cap
+        ("--k", "2", "--j-max", str(10**7), "--step", str(25 * 10**5)),
+        ("--k", "1000", "--j-max", "16000"),
+    ):
+        with pytest.raises(Reached):
+            main(["bench", *argv])
+    # the rows' total is 2 * (1 + 2 + 3) = 12
+    monkeypatch.setattr(cli, "TERM_CAP", 12)
+    with pytest.raises(Reached):
+        main(["bench", "--k", "2", "--j-max", "3", "--step", "1"])
+    monkeypatch.setattr(cli, "TERM_CAP", 11)
+    code, _, err = run_cli(capsys, "bench", "--k", "2", "--j-max", "3", "--step", "1")
+    assert (code, err) == (2, "error: --k times the sum of the rows' j exceeds the term cap of 11\n")
+
+
+def test_iterative_term_reads_the_seed_window_without_building_it(monkeypatch):
+    from kbonacci import bench
+
+    monkeypatch.setattr(bench, "deque", reached)
+    k = cli.ORDER_CAP
+    assert [bench.iterative_term(k, j) for j in (0, 1, k - 2, k - 1)] == [0, 0, 0, 1]
+    assert [bench.iterative_term(3, j) for j in range(3)] == [0, 0, 1]
+    with pytest.raises(Reached):
+        bench.iterative_term(3, 3)
 
 
 def test_bench_mismatch_exits_1(capsys, monkeypatch):
@@ -891,7 +974,8 @@ def test_seq_out_of_memory_exits_2(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(sequences, "term_range", exhausted)
     target = tmp_path / "seq.txt"
-    argv = ("seq", "--k", "2", "--from", "0", "--to", "100000000")
+    # at the term cap, the largest range seq takes at k = 2
+    argv = ("seq", "--k", "2", "--from", "0", "--to", str(cli.TERM_CAP // 2))
     for extra in ((), ("--output", str(target))):
         code, out, err = run_cli(capsys, *argv, *extra)
         assert (code, out, err) == (2, "", "error: out of memory\n")
