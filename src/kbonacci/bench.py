@@ -15,6 +15,13 @@ from .builders import fast_term
 from .matrix import _require_int, decimal_text
 from .sequences import _validate_order
 
+# largest sum of j^2 over the rows that run_bench takes: the plain
+# recurrence adds terms of up to j bits j times, so a row costs about j^2.
+# On a 2-CPU machine (Python 3.11.7) that read about 15 s per 10^12 at k = 2
+# (j = 10^6) and 28 to 34 s at k = 3 to 100 (j = 2*10^5).  The CLI's own
+# caps admit `bench --k 2 --j-max 25000000`, which would run for hours
+ITER_CAP = 10**12
+
 
 class BenchMismatch(RuntimeError):
     """The two evaluation paths disagreed; carries the offending index."""
@@ -76,10 +83,16 @@ def run_bench(k: int, j_max: int, step: int | None = None) -> list[BenchRow]:
     """Time both paths at each of bench_indices(k, j_max, step).
 
     Every row's two values are compared; a disagreement raises
-    BenchMismatch.
+    BenchMismatch.  A grid whose sum of j^2 exceeds ITER_CAP is refused
+    before any term is made.
     """
+    js = bench_indices(k, j_max, step)
+    m = len(js)
+    # j = step * i for i = 1..m
+    if js.step**2 * m * (m + 1) * (2 * m + 1) // 6 > ITER_CAP:
+        raise ValueError(f"the sum of the rows' j^2 exceeds the iterative path's cap of {ITER_CAP}")
     rows = []
-    for j in bench_indices(k, j_max, step):
+    for j in js:
         t0 = time.perf_counter()
         via_iter = iterative_term(k, j)
         t1 = time.perf_counter()

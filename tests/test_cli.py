@@ -695,6 +695,34 @@ def test_bench_caps_admit_the_cap(capsys, monkeypatch):
     assert (code, err) == (2, "error: --k times the sum of the rows' j exceeds the term cap of 11\n")
 
 
+def test_bench_iterative_cap_admits_the_cap_and_refuses_one_more(capsys, monkeypatch):
+    from kbonacci import bench
+
+    monkeypatch.setattr(bench, "iterative_term", reached)
+    # one row at j = 10^6: j^2 is the cap
+    assert bench.ITER_CAP == 10**12
+    with pytest.raises(Reached):
+        main(["bench", "--k", "2", "--j-max", str(10**6)])
+    refused = f"error: the sum of the rows' j^2 exceeds the iterative path's cap of {bench.ITER_CAP}\n"
+    for argv in (
+        ("--k", "2", "--j-max", str(10**6 + 1)),
+        # within the term cap and the qpow cap, hours of plain recurrence
+        ("--k", "2", "--j-max", str(cli.TERM_CAP // 2)),
+        ("--k", "3", "--j-max", str(10**6), "--step", str(5 * 10**5)),
+    ):
+        code, out, err = run_cli(capsys, "bench", *argv)
+        assert (code, out, err) == (2, "", refused), argv
+    # the rows' j^2 sum to 1 + 4 + 9 = 14
+    monkeypatch.setattr(bench, "ITER_CAP", 14)
+    with pytest.raises(Reached):
+        main(["bench", "--k", "2", "--j-max", "3", "--step", "1"])
+    monkeypatch.setattr(bench, "ITER_CAP", 13)
+    code, out, err = run_cli(capsys, "bench", "--k", "2", "--j-max", "3", "--step", "1")
+    assert (code, out, err) == (2, "", "error: the sum of the rows' j^2 exceeds the iterative path's cap of 13\n")
+    with pytest.raises(ValueError, match="iterative path's cap of 13$"):
+        bench.run_bench(5, 3, 1)
+
+
 def test_iterative_term_reads_the_seed_window_without_building_it(monkeypatch):
     from kbonacci import bench
 

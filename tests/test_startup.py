@@ -1,7 +1,8 @@
 """Start-up budget: importing the package and its CLI loads none of the
-stdlib modules that are costly to import and unneeded by most commands,
-and the csv writer, imported only when a command writes csv, still
-writes the golden bytes in a fresh interpreter."""
+stdlib modules that are costly to import and unneeded by most commands
+and compiles no product kernel, and the csv writer, imported only when a
+command writes csv, still writes the golden bytes in a fresh
+interpreter."""
 
 from __future__ import annotations
 
@@ -35,6 +36,20 @@ def test_import_loads_none_of_the_unwanted_modules():
     proc = run_python("-S", "-c", code)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == b"\n"
+
+
+def test_import_compiles_no_product_kernel():
+    # kernels compile at the first product of their dimension, inside the
+    # command that needs them
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import kbonacci, kbonacci.cli\n"
+        "print(kbonacci.matrix._product_kernel.cache_info().currsize)\n"
+    )
+    proc = run_python("-S", "-c", code)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"0\n"
 
 
 def test_csv_outputs_in_a_fresh_interpreter():
