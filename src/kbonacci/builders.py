@@ -67,11 +67,11 @@ def _member_table(value, k: int, r: int, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(terms[u : u + top + 1] for u in range(top + 1))
 
 
-def _spread(table, ds) -> tuple[tuple, ...]:
-    """The rows of the matrix whose entry (R, C) is table[ds[R]][ds[C]];
-    rows with equal digit sum are one tuple."""
-    rows = [tuple(row[d] for d in ds) for row in table]
-    return tuple(rows[d] for d in ds)
+def _spread(table, ds, row=tuple):
+    """The rows, each and all made by row (tuple or list), of the matrix
+    whose entry (R, C) is table[ds[R]][ds[C]]; equal digit sums share one."""
+    rows = [row(map(t.__getitem__, ds)) for t in table]
+    return row(map(rows.__getitem__, ds))
 
 
 def _layout(value, k: int, r: int, j: int) -> SquareMatrix:

@@ -33,9 +33,9 @@ import heapq
 import math
 import time
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import mul
+from operator import floordiv, mul
 from types import GeneratorType
 
 from .builders import CACHE_SIZE, _digit_sums, _member_table, _spread, build_higher, fast_f
@@ -125,13 +125,13 @@ def _classes(m: SquareMatrix, k: int, r: int):
     return (range(n), (1,) * n) if n == k**r else _digit_sums(k, r)
 
 
-def _entries(m: SquareMatrix, k: int, r: int, cell=int):
+def _entries(m: SquareMatrix, k: int, r: int, cell=int, row=tuple):
     """Rows of the dense level-r matrix of order k that m stands for, a
     scaled table or a dense matrix: m unscaled and passed through cell once
     per pair of classes, then spread by class, so that rows of one class
-    are one tuple."""
+    are one tuple, or one list with row=list."""
     ds, w = _classes(m, k, r)
-    return _spread([[cell(x // c) for x, c in zip(row, w)] for row in m.rows], ds)
+    return _spread([list(map(cell, map(floordiv, row_, w))) for row_ in m.rows], ds, row)
 
 
 class _IdentityMinus(tuple):
@@ -156,10 +156,10 @@ class _IdentityMinus(tuple):
     def payload(self, k: int, r: int) -> dict:
         """The JSON form (matrix.to_json_dict's) of the dense c*I - m, from
         one decimal_text per distinct value: -m per pair of classes, spread
-        by class, and c - m per class on the diagonal."""
+        by class into a list per row, and c - m per class on the diagonal."""
         c, m = self
         ds, w = _classes(m, k, r)
-        entries = [list(row) for row in _entries(m, k, r, lambda x: decimal_text(-x))]
+        entries = list(map(list, _entries(m, k, r, lambda x: decimal_text(-x))))
         diagonal = [decimal_text(c - row[u] // w[u]) for u, row in enumerate(m.rows)]
         for R, u in enumerate(ds):
             entries[R][R] = diagonal[u]
@@ -176,9 +176,8 @@ def _serialize(value, k: int, r: int):
         return value.payload(k, r)
     if not isinstance(value, SquareMatrix):
         return decimal_text(value)
-    rows = _entries(value, k, r, decimal_text)
-    shared = {id(row): list(row) for row in rows}
-    return {"dim": len(rows), "entries": [shared[id(row)] for row in rows]}
+    rows = _entries(value, k, r, decimal_text, list)
+    return {"dim": len(rows), "entries": rows}
 
 
 def _same(a, b, k: int, r: int) -> bool:
@@ -624,9 +623,9 @@ def json_chunks(value, quote_ints: bool = True):
 
     The top-level value, and a list, tuple or generator directly in it,
     are written one item per chunk; each item below is one chunk, joined
-    once from its pieces (_write), and a dict of scalars or a report case
-    with no counterexample is one str.format of a cached template
-    (_template).
+    once from its pieces (_write).  A row of strings is one join, a dict
+    of scalars or a report case with no counterexample is one %-format of
+    a cached template (_template).
     """
     return _chunks(value, "\n", quote_ints, True)
 
@@ -654,9 +653,9 @@ def _container(value):
     """The brackets of a dict, list, tuple or generator and its (head,
     item) pairs in the order they are written; None for any other value."""
     if isinstance(value, dict):
-        return "{}", ((_quote(key) + ": ", value[key]) for key in sorted(value))
+        return "{}", ((_quote(key) + ": ", value[key]) for key in _sorted_names(tuple(value)))
     if isinstance(value, (list, tuple, GeneratorType)):
-        return "[]", (("", item) for item in value)
+        return "[]", zip(repeat(""), value)
     return None
 
 
@@ -689,40 +688,57 @@ def _chunks(value, newline: str, quote_ints: bool, top: bool):
 SHAPE_CACHE_SIZE = 128
 
 
-def _brace(text: str) -> str:
-    """text as literal text of a str.format template."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _template(case: tuple | None, names: tuple, newline: str, slot: str) -> str:
-    """The str.format template of a dict with keys names, in insertion
-    order, whose i-th value is written as slot % i; with case a (checker,
-    status) pair, of a report case with no counterexample and that dict
-    as its params."""
+def _template(case: tuple | None, names: tuple, newline: str, slot: str) -> tuple:
+    """The %-format template of a dict with keys names, whose values are
+    written as slot, and its keys in the order they fill it; with case a
+    (checker, status) pair, of a report case with no counterexample and
+    that dict as its params."""
     inner = newline + "  "
-    if case is None:
-        items = sorted((name, slot % i) for i, name in enumerate(names))
-    else:
-        checker, status = (_brace(_quote(text)) for text in case)
-        params = _template(None, names, inner, slot)
+    keys = _sorted_names(names)
+    items = [(key, slot) for key in keys]
+    if case is not None:
+        checker, status = (_quote(text).replace("%", "%%") for text in case)
+        params = _template(None, names, inner, slot)[0]
         items = [("counterexample", "null"), ("id", checker), ("params", params), ("status", status)]
     if not items:
-        return "{{}}"
-    return "{{" + inner + ("," + inner).join(_brace(_quote(key)) + ": " + text for key, text in items) + newline + "}}"
+        return "{}", keys
+    body = ("," + inner).join(_quote(key).replace("%", "%%") + ": " + text for key, text in items)
+    return "{" + inner + body + newline + "}", keys
 
 
 def _filled(case: tuple | None, value: dict, newline: str, quote_ints: bool) -> str | None:
     """_template's text of value, filled with the texts of its values;
-    None if one of them is not a scalar."""
-    names, values = tuple(value), value.values()
-    if {int}.issuperset(map(type, values)):
+    None if one of them is not a str, int, bool, float or None."""
+    kinds = set(map(type, value.values()))
+    if kinds <= {int}:
+        template, keys = _template(case, tuple(value), newline, '"%s"' if quote_ints else "%s")
         try:
-            return _template(case, names, newline, '"{%d}"' if quote_ints else "{%d}").format(*values)
+            return template % tuple(map(value.__getitem__, keys))
         except ValueError:
             pass  # an int past the interpreter's int-to-text digit limit
-    texts = [_scalar_json(v, quote_ints) for v in values]
-    return None if None in texts else _template(case, names, newline, "{%d}").format(*texts)
+    elif not kinds <= {str, int, bool, float, type(None)}:
+        return None
+    template, keys = _template(case, tuple(value), newline, "%s")
+    return template % tuple(_scalar_json(value[key], quote_ints) for key in keys)
+
+
+# the characters of ASCII text that _quote escapes
+_ESCAPED = bytes(range(32)) + b'"\\\x7f'
+
+
+def _row(row, newline: str) -> str | None:
+    """The text of a nonempty list or tuple of strings from one join of
+    its items, or None if an item is not a string."""
+    inner = newline + "  "
+    try:
+        body = ('",' + inner + '"').join(row)
+    except TypeError:
+        return None
+    # _quote escapes 3 characters of each separator; more, or non-ASCII, are an item's
+    if not body.isascii() or len(body) - len(body.encode().translate(None, _ESCAPED)) != 3 * len(row) - 3:
+        return f"[{inner}{(',' + inner).join(map(_quote, row))}{newline}]"
+    return f'[{inner}"{body}"{newline}]'
 
 
 _CASE_KEYS = frozenset({"counterexample", "id", "params", "status"})
@@ -733,16 +749,16 @@ def _write(value, newline: str, quote_ints: bool, out: list) -> None:
     closing bracket follows newline, to out: a scalar, a row of strings, a
     dict of scalars or a plain case as one string, any other value piece
     by piece, so that no piece is copied before the chunk is joined."""
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is dict:
         text = None
         if value.keys() == _CASE_KEYS and value["counterexample"] is None:
             case, params = (value["id"], value["status"]), value["params"]
-            if set(map(type, case)) == {str} and type(params) is dict:
+            if type(case[0]) is type(case[1]) is str and type(params) is dict:
                 text = _filled(case, params, newline, quote_ints)
         text = text or _filled(None, value, newline, quote_ints)
-    elif isinstance(value, (list, tuple)) and set(map(type, value)) == {str}:  # a matrix row
-        inner = newline + "  "
-        text = "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+    elif kind is list or kind is tuple:
+        text = _row(value, newline) if value and isinstance(value[0], str) else None
     else:
         text = _scalar_json(value, quote_ints)
     if text:
@@ -909,8 +925,12 @@ class SuiteRun:
 
     def to_json(self, include_timestamp: bool = True) -> str:
         """The report as json.dumps(to_json_dict(...), indent=2,
-        sort_keys=True) writes it."""
-        return "".join(self.json_chunks(include_timestamp))
+        sort_keys=True) writes it, gathered in one buffer chunk by chunk,
+        so that no chunk outlives its own write."""
+        text = bytearray()
+        for chunk in self.json_chunks(include_timestamp):
+            text += chunk.encode()
+        return text.decode()
 
 
 class SuiteResult(SuiteRun):

@@ -378,6 +378,10 @@ def test_seq_term_cap_exits_2_before_any_arithmetic(capsys, monkeypatch):
 
 
 def test_seq_term_cap_admits_the_cap(capsys, monkeypatch):
+    # This pins only the CLI's own caps: term_range, the worker, is patched
+    # out.  The term cap is no bound on seq's output, which grows with the
+    # square of the range (ROADMAP item 7): these ranges pass the caps, but
+    # seq could not print them.
     monkeypatch.setattr(sequences, "term_range", reached)
     for k, lo, hi in ((2, 0, cli.TERM_CAP // 2), (5, -(cli.TERM_CAP // 5), 0), (cli.ORDER_CAP, -5, 5)):
         with pytest.raises(Reached) as info:
@@ -677,6 +681,9 @@ def test_bench_caps_exit_2_before_any_arithmetic(capsys, monkeypatch):
 def test_bench_caps_admit_the_cap(capsys, monkeypatch):
     from kbonacci import bench
 
+    # This pins only the CLI's own caps: run_bench, the worker, is patched
+    # out.  The real run_bench refuses the first argv below by its own
+    # cap on the iterative path's cost, bench.ITER_CAP.
     monkeypatch.setattr(bench, "run_bench", reached)
     for argv in (
         ("--k", "2", "--j-max", str(cli.TERM_CAP // 2)),
@@ -1000,6 +1007,9 @@ def test_seq_out_of_memory_exits_2(capsys, monkeypatch, tmp_path):
     def exhausted(*args):
         raise MemoryError
 
+    # This pins only the CLI's exit path: term_range, the worker, is
+    # patched out to raise.  The range is the largest that the term cap
+    # admits at k = 2, which is not an output bound (ROADMAP item 7).
     monkeypatch.setattr(sequences, "term_range", exhausted)
     target = tmp_path / "seq.txt"
     # at the term cap, the largest range seq takes at k = 2

@@ -25,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci.builders import _digit_sums, build_higher
-from kbonacci.identities import FAILS, SuiteResult, _case, _member, _serialize, json_chunks, jsonify
-from kbonacci.matrix import to_json_dict
+from kbonacci.identities import FAILS, SuiteResult, _case, _IdentityMinus, _member, _serialize, json_chunks, jsonify
+from kbonacci.matrix import decimal_text, identity, to_json_dict
 from kbonacci.sequences import term
 
 TEXT = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "é中", "null", "{}"])
@@ -110,6 +110,37 @@ def test_a_repeated_row_is_written_at_its_own_depth():
     value = {"a": [row, [row, row], (row,)], "b": row}
     for quote_ints in (False, True):
         assert "".join(json_chunks(value, quote_ints)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class Text(str):
+    """A str subclass: written as the str it holds."""
+
+
+# A row of strings is one join and one escape check; these rows reach the
+# check's edges: an item of a str subclass, one item that needs escaping
+# and comes last, a two-byte character and a quote whose byte counts
+# cancel, a non-string after strings, and a tuple.
+ESCAPED_LAST = ['"', "\\", "\x00", "\x7f", "é", "\U0001f600"]
+EDGE_ROWS = [
+    [Text("1"), Text("-2"), Text("x")],
+    *(["12", "-3", "ab", "c" + last] for last in ESCAPED_LAST),
+    *(["12", "-3", last] for last in ESCAPED_LAST),
+    ["12", "é", '"'],
+    ["1", "2", "3", 4],
+    ["1", "2", "3", None],
+    ("1", "-2", "3"),
+]
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS, ids=repr)
+@pytest.mark.parametrize("quote_ints", [True, False])
+def test_row_fast_path_edges_match_json_dumps(row, quote_ints):
+    # the row below the top level, repeated, at two depths
+    value = {"deep": {"rows": [row, row]}, "rows": [row]}
+    expected = json.dumps(jsonify(value) if quote_ints else value, indent=2, sort_keys=True)
+    assert "".join(json_chunks(value, quote_ints)) == expected
+    if all(isinstance(item, str) for item in row):
+        assert expected == json.dumps(jsonify(value), indent=2, sort_keys=True)
 
 
 LEVELS = [(k, r) for k in (2, 3, 4) for r in range(1, 7) if k**r <= 64]
@@ -211,3 +242,25 @@ def test_templates_match_json_dumps_at_two_depths(items):
 def test_a_top_level_list_is_written_item_by_item(values):
     for value in (values, (v for v in values), {"values": values}):
         assert len(list(json_chunks(value))) >= len(values)
+
+
+@pytest.mark.parametrize("k, r", LEVELS)
+@pytest.mark.parametrize("c", [0, 3])
+def test_literal_identity_payload_rows_are_lists_of_their_own(k, r, c):
+    table = _member(partial(term, k), k, r, 4)
+    payload = _IdentityMinus((c, table)).payload(k, r)
+    dense = c * identity(k**r) - build_higher(k, r, 4)
+    assert payload == to_json_dict(dense)
+    rows = payload["entries"]
+    assert len({id(row) for row in rows}) == len(rows) == k**r
+    assert all(type(row) is list for row in rows)
+    assert [row[R] for R, row in enumerate(rows)] == [decimal_text(dense.entry(R, R)) for R in range(k**r)]
+
+    case = _case("geometric", {"k": k, "r": r}, table, _IdentityMinus((c, table)))
+    assert case.status == FAILS
+    own = case.counterexample["rhs"]["entries"]
+    before = [list(row) for row in own]
+    copy = jsonify(case.counterexample)["rhs"]["entries"]
+    copy[0][0] = "changed"
+    copy[-1].append("extra")
+    assert own == before
