@@ -12,18 +12,17 @@ compared exactly.  A case reports one of four statuses:
   skipped          parameters outside the identity's stated domain
 
 Scalar cases run at level r = 0 on sequence terms; matrix cases run the
-same shape of identity on the level-r block family, each member held as
-its w-scaled class table over digit-sum pairs (_member), a SquareMatrix
-of dimension r(k-1)+1 whose arithmetic is that of the dense members.
-The right side of geometric's literal identity-matrix reading,
-c*I - X(k+n), is held as the pair (c, X(k+n)) and decided and written
-from the class table too (_IdentityMinus); only q_power, which compares
-the builders with the companion-power path, stays dense.  Every
-checker's cases are made by one generator that is handed its
-evaluators.  At order 2 and level 1 every member is a power of the
-companion matrix Q, so there each checker's generator also runs on plain
-powers of Q, an independent second oracle; a disagreement there is a
-library defect and raises instead of reporting.
+same shape of identity on the level-r block family.  An integer
+combination of members is the Hankel form of one term vector, entry
+(R, C) = S(ds(R) + ds(C)), ds the digit sum, so the nine linear checkers
+run on vectors (_Terms), once per order for every level (_View).  The
+product checkers hold each member as its w-scaled class table (_member);
+only q_power stays dense.  Every checker's cases are made by one
+generator that is handed its evaluators.  At order 2 and level 1
+every member is a power of the companion matrix Q, so there each
+checker's generator also runs on plain powers of Q, an independent second
+oracle; a disagreement there is a library defect and raises instead of
+reporting.
 """
 
 from __future__ import annotations
@@ -33,15 +32,15 @@ import heapq
 import math
 import time
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii as _quote
-from operator import floordiv, mul
+from operator import add, floordiv, mul, sub
 from types import GeneratorType
 
 from .builders import CACHE_SIZE, _digit_sums, _member_table, _spread, build_higher, fast_f
 from .expectations import expected_reason
-from .matrix import SquareMatrix, _require_int, decimal_text
-from .sequences import lucas_term, term
+from .matrix import _HIGH, _LOW, SquareMatrix, _require_int, decimal_text, identity
+from .sequences import _lucas, lucas_term, term, term_range
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -117,6 +116,59 @@ def _member(value, k: int, r: int, j: int) -> SquareMatrix:
     return SquareMatrix._of(tuple(flat), len(w))
 
 
+class _Terms(tuple):
+    """An integer combination of level-R members plus c*I, as the tuple
+    (S(0), ..., S(2D), c), D = R(k-1), for the matrix whose entry (R, C)
+    is S(ds(R) + ds(C)) + c*[R == C]; +, - and integer * act entrywise.
+    For D >= 2, I is no Hankel form, so equal matrices have equal tuples;
+    at D = 1, I is the Hankel form of (1, 0, 1) (_cut folds c in)."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Terms(map(add, self, other))
+
+    def __sub__(self, other):
+        return _Terms(map(sub, self, other))
+
+    def __mul__(self, c):
+        if type(c) is not int:
+            return NotImplemented
+        return _Terms(map(c.__mul__, self))
+
+    __rmul__ = __mul__
+
+
+def _units(like):
+    """(I, J), the identity and the all-ones matrix, of like's kind."""
+    if isinstance(like, SquareMatrix):
+        return identity(like.dim), SquareMatrix._of((1,) * like.dim**2, like.dim)
+    width = len(like) - 1
+    return _Terms((0,) * width + (1,)), _Terms((1,) * width + (0,))
+
+
+def _cut(steps, k: int, top: int, r: int):
+    """steps on level-top vectors, each vector side cut to level r: its
+    middle 2r(k-1) + 1 entries and c, folded into them at r(k-1) = 1."""
+    lo, hi = (top - r) * (k - 1), (top + r) * (k - 1) + 1
+    fold = hi - lo == 3
+    for index, *sides in steps:
+        for n, side in enumerate(sides):
+            if type(side) is _Terms:
+                cut, c = side[lo:hi], side[-1]
+                sides[n] = (cut[0] + c, cut[1], cut[2] + c, 0) if fold and c else cut + (c,)
+        yield (index, *sides)
+
+
+def _hankel(side):
+    """A 2x2 matrix [[a, b], [b, d]] as _cut's value (a, b, d, 0); any
+    other side as it is."""
+    if isinstance(side, SquareMatrix):
+        (a, b), (b2, d) = side.rows
+        return (a, b, d, 0) if b == b2 else side
+    return side
+
+
 def _classes(m: SquareMatrix, k: int, r: int):
     """(ds, w) of the classes m is over: the digit sums of a scaled table
     (dimension r(k-1)+1, below k^r for r >= 2), or single positions (w all
@@ -134,68 +186,44 @@ def _entries(m: SquareMatrix, k: int, r: int, cell=int, row=tuple):
     return _spread([list(map(cell, map(floordiv, row_, w))) for row_ in m.rows], ds, row)
 
 
-class _IdentityMinus(tuple):
-    """The pair (c, m), a member m and an int c, for c*I - m, I of
-    dimension k^r.  I has no class table for r >= 2, so _same and
-    _serialize decide and write c*I - m from the pair, at class level.
-    Pairs compare as tuples."""
-
-    __slots__ = ()
-
-    def equals(self, a: SquareMatrix, k: int, r: int) -> bool:
-        """a == c*I - m, for a of m's kind: E = a + m is 0 off the diagonal,
-        E[u][u] = c*w[u], and c = 0 if some class has w[u] >= 2, as such a
-        class has positions off the diagonal, where c*I is 0."""
-        c, m = self
-        w = _classes(m, k, r)[1]
-        if c and max(w) > 1:
-            return False
-        d = len(w)
-        return a + m == SquareMatrix._of(tuple(c * w[u] if u == v else 0 for u in range(d) for v in range(d)), d)
-
-    def payload(self, k: int, r: int) -> dict:
-        """The JSON form (matrix.to_json_dict's) of the dense c*I - m, from
-        one decimal_text per distinct value: -m per pair of classes, spread
-        by class into a list per row, and c - m per class on the diagonal."""
-        c, m = self
-        ds, w = _classes(m, k, r)
-        entries = list(map(list, _entries(m, k, r, lambda x: decimal_text(-x))))
-        diagonal = [decimal_text(c - row[u] // w[u]) for u, row in enumerate(m.rows)]
-        for R, u in enumerate(ds):
-            entries[R][R] = diagonal[u]
-        return {"dim": len(ds), "entries": entries}
+def _text(values):
+    """str if all values lie inside +-10^LEAF_DIGITS, else decimal_text."""
+    return str if _LOW < min(values) and max(values) < _HIGH else decimal_text
 
 
 def _serialize(value, k: int, r: int):
     """One side's report payload: decimal text, or the JSON form
-    (matrix.to_json_dict's) of the dense matrix that a table or matrix
-    stands for, laid out from one decimal text per pair of classes, so that
-    rows of equal digit sum are one shared list; a literal identity side is
-    laid out from its pair."""
-    if isinstance(value, _IdentityMinus):
-        return value.payload(k, r)
-    if not isinstance(value, SquareMatrix):
+    (matrix.to_json_dict's) of the dense matrix that a level's vector, a
+    table or a matrix stands for, from one text per value; rows of equal
+    digit sum are one shared list, except where c puts S(2u) + c on the
+    diagonal."""
+    if isinstance(value, int):
         return decimal_text(value)
-    rows = _entries(value, k, r, decimal_text, list)
+    if isinstance(value, SquareMatrix):
+        rows = _entries(value, k, r, _text(value._flat), list)
+        return {"dim": len(rows), "entries": rows}
+    S, c = value[:-1], value[-1]
+    D = r * (k - 1)
+    ds = _digit_sums(k, r)[0]
+    texts = list(map(_text(S), S))
+    rows = _spread([texts[u : u + D + 1] for u in range(D + 1)], ds, list)
+    if c:
+        diagonal = [S[2 * u] + c for u in range(D + 1)]
+        texts = list(map(_text(diagonal), diagonal))
+        rows = list(map(list, rows))
+        for R, u in enumerate(ds):
+            rows[R][R] = texts[u]
     return {"dim": len(rows), "entries": rows}
-
-
-def _same(a, b, k: int, r: int) -> bool:
-    """a == b, for two sides of one kind.  b may be a literal identity
-    side, decided from its pair."""
-    if isinstance(b, _IdentityMinus):
-        return b.equals(a, k, r)
-    return a == b
 
 
 def _case(checker: str, params: dict, lhs, rhs, corrected=None, status_if_equal=HOLDS) -> CheckCase:
     """Compare the cataloged sides; a failing case whose lhs matches the
     corrected side holds-corrected, any other is classified here, once."""
-    k, r = params["k"], params["r"]
-    if _same(lhs, rhs, k, r):
+    if lhs == rhs:
         return CheckCase(checker, params, status_if_equal)
+    k, r = params["k"], params["r"]
     counterexample = {"params": dict(params), "lhs": _serialize(lhs, k, r), "rhs": _serialize(rhs, k, r)}
-    if corrected is not None and _same(lhs, corrected, k, r):
+    if corrected is not None and lhs == corrected:
         return CheckCase(checker, params, HOLDS_CORRECTED, counterexample)
     return CheckCase(checker, params, FAILS, counterexample, expected_reason(checker, params))
 
@@ -203,33 +231,42 @@ def _case(checker: str, params: dict, lhs, rhs, corrected=None, status_if_equal=
 CHECKERS = {}
 
 
-def _checker(order: int | None = None, min_r: int = 0):
+def _checker(order: int | None = None, min_r: int = 0, vectors: str | None = None):
     """Register the case generator check_<id>(p, X, L) as checker <id>.
 
-    X and L are the level's evaluators (_level).  The generator yields
+    X and L are the level's evaluators.  The generator yields
     (index params, lhs, rhs[, corrected[, status-if-equal]]) per case, or
     (index params,) for a skipped case, in _case_sort_key order:
     iter_suite merges the streams of the (k, r) pairs as they come and
-    raises on a case out of that order.  At k = 2, r = 1, where every
-    member is a companion power, X(j) = Q^j and L(j) = Q^(j+1) + Q^(j-1),
-    the generator also runs on those in lockstep, and the first
-    disagreement raises as a library defect.  The registered checker
-    rejects parameters outside its domain (order `order` only, when
-    given; levels r >= min_r) and returns the SuiteResult of a suite run
-    of its own.  `order` and `min_r` stay on the checker, where iter_suite
-    reads its grid from, and `stream(p)` yields the cases one by one, with
-    k and r added to every case's params.
+    raises on a case out of that order.  A linear checker, with `vectors`
+    set, runs at r >= 1 on term vectors, one run per "order" or "level"
+    (_View); any other runs per level on class tables.  At k = 2, r = 1, where every member is a companion
+    power, X(j) = Q^j and L(j) = Q^(j+1) + Q^(j-1), the generator also runs
+    on those in lockstep, and the first disagreement raises as a library
+    defect.  The registered checker rejects parameters outside its domain
+    (order `order` only, when given; levels r >= min_r) and returns the
+    SuiteResult of a suite run of its own.  `order`, `min_r` and `vectors`
+    stay on the checker, where iter_suite reads its grid from, and
+    `stream(p)` yields the cases of p, a CheckerParams or a _View, one by
+    one, with k and r added to every case's params.
     """
 
     def register(cases_of):
         checker_id = cases_of.__name__.removeprefix("check_")
 
-        def stream(p: CheckerParams):
-            cases = cases_of(p, *_level(p))
-            if (p.k, p.r) == (2, 1):
-                cases = _lockstep(cases, cases_of(p, _q_power, lambda i: _q_power(i + 1) + _q_power(i - 1)))
+        def stream(p):
+            if isinstance(p, CheckerParams) and vectors and p.r:
+                p = _View([p], 0, [])
+            if isinstance(p, _View):
+                cases, p = _view_steps(cases_of, p), p.levels[p.i]
+            else:
+                cases = cases_of(p, *_level(p))
+            k, r = p.k, p.r
+            if (k, r) == (2, 1):
+                shadow = cases_of(p, _q_power, lambda i: _q_power(i + 1) + _q_power(i - 1))
+                cases = _lockstep(cases, shadow, vectors)
             for index, *sides in cases:
-                params = {"k": p.k, "r": p.r, **index}
+                params = {"k": k, "r": r, **index}
                 yield _case(checker_id, params, *sides) if sides else CheckCase(checker_id, params, SKIPPED)
 
         @functools.wraps(cases_of)
@@ -242,6 +279,7 @@ def _checker(order: int | None = None, min_r: int = 0):
 
         check.order = order
         check.min_r = min_r
+        check.vectors = vectors
         check.stream = stream
         CHECKERS[checker_id] = check
         return check
@@ -249,10 +287,11 @@ def _checker(order: int | None = None, min_r: int = 0):
     return register
 
 
-# Members one suite run keeps, shared by all its checkers: a default-grid
-# run reads 514 distinct ones and builds each once.  The bound caps deep
-# grids' memory and holds the window of about k*m_max members that each of
-# a checker's (k, r) streams reads while iter_suite steps them together.
+# Members, or term vectors, that one suite run keeps, shared by all its
+# checkers: a default-grid run reads 257 distinct members and 282 vectors
+# and builds each once.  The bound caps deep grids' memory and holds the
+# window of about k*m_max values that a checker's streams read while
+# iter_suite steps them together.
 MEMBER_CACHE_SIZE = 1024
 
 
@@ -262,12 +301,55 @@ def _members(family: str, k: int, r: int, j: int) -> SquareMatrix:
     return _member(lucas_term if family == "L" else functools.partial(term, k), k, r, j)
 
 
+@functools.lru_cache(maxsize=MEMBER_CACHE_SIZE)
+def _vectors(family: str, k: int, D: int, j: int) -> _Terms:
+    """Member j of width D, family "F" or "L" as in _members: the terms
+    s(j + D - d) for d = 0..2D, and c = 0."""
+    terms = _lucas.term_range(j - D, j + D) if family == "L" else term_range(k, j - D, j + D)
+    terms.reverse()
+    terms.append(0)
+    return _Terms(terms)
+
+
 def _level(p: CheckerParams):
     """X, the level's terms or cached F members, and L, the Lucas ones at order 2 or None."""
     if p.r == 0:
         return functools.partial(term, p.k), lucas_term if p.k == 2 else None
     L = functools.partial(_members, "L", 2, p.r) if p.k == 2 else None
     return functools.partial(_members, "F", p.k, p.r), L
+
+
+# level i of one run for levels, CheckerParams of one order; the run's
+# views share copies
+_View = namedtuple("_View", "levels i copies")
+
+
+def _view_steps(cases_of, view: _View):
+    """The steps of view's level, cut from the run of cases_of on the term
+    vectors of the top level, which its first view read starts, copied per
+    level by tee (a level ahead leaves the others its steps)."""
+    top = max(view.levels)
+    if not view.copies:
+        D = top.r * (top.k - 1)
+        L = functools.partial(_vectors, "L", 2, D) if top.k == 2 else None
+        view.copies.extend(tee(cases_of(top, functools.partial(_vectors, "F", top.k, D), L), len(view.levels)))
+    return _cut(view.copies[view.i], top.k, top.r, view.levels[view.i].r)
+
+
+def _views(checker, params: list) -> list:
+    """params, a linear checker's levels r >= 1 made views of one run per
+    order, or per level for lucas_pair, whose cases sort part before r."""
+    if not checker.vectors:
+        return params
+    runs = {}
+    for p in params:
+        if p.r:
+            runs.setdefault(p.k if checker.vectors == "order" else p, []).append(p)
+    views = {}
+    for levels in runs.values():
+        copies = []
+        views.update((p, _View(levels, i, copies)) for i, p in enumerate(levels))
+    return [views.get(p, p) for p in params]
 
 
 _Q = SquareMatrix([[1, 1], [1, 0]])
@@ -295,9 +377,12 @@ def _q_power(j: int) -> SquareMatrix:
     return power
 
 
-def _lockstep(cases, shadow):
-    """cases, each checked against the shadow's case of the same place."""
+def _lockstep(cases, shadow, vectors=None):
+    """cases, each checked against the shadow's case of the same place,
+    whose matrix sides are read by _hankel for a linear checker."""
     for case, check in zip(cases, shadow):
+        if vectors:
+            check = (check[0], *map(_hankel, check[1:]))
         if check != case:
             raise RuntimeError(
                 "companion-power oracle disagrees with the matrix builders; "
@@ -310,7 +395,7 @@ def _lockstep(cases, shadow):
 # general checkers (any order k)
 
 
-@_checker()
+@_checker(vectors="order")
 def check_sum_formula(p: CheckerParams, X, L):
     """(k-1) * sum of the first n terms against its closed difference form.
     Equality makes the closed form entrywise divisible by k-1."""
@@ -325,7 +410,7 @@ def check_sum_formula(p: CheckerParams, X, L):
         yield {"n": n}, (k - 1) * running, rhs
 
 
-@_checker()
+@_checker(vectors="order")
 def check_double_shift(p: CheckerParams, X, L):
     """X(j+k-1) == 2*X(j+k-2) - X(j-2) at every integer j in the grid."""
     k = p.k
@@ -333,7 +418,7 @@ def check_double_shift(p: CheckerParams, X, L):
         yield {"j": j}, X(j + k - 1), 2 * X(j + k - 2) - X(j - 2)
 
 
-@_checker()
+@_checker(vectors="order")
 def check_geometric(p: CheckerParams, X, L):
     """Scaled geometric sum: sum of 2^(n-j) * X(j-1) for j = 1..n against
     2^n * C - X(k+n).
@@ -347,18 +432,19 @@ def check_geometric(p: CheckerParams, X, L):
     zero = 0 * X(0)
     k = p.k
     running = zero
+    if p.r:
+        unit, ones = _units(zero)
     for n in range(1, p.n_max + 1):
         running = 2 * running + X(n - 1)
         if p.r == 0:
             yield {"n": n}, running, 2**n - X(k + n)
             continue
         yield {"n": n, "reading": "corrected"}, running, (2**n) * X(k) - X(k + n), None, HOLDS_CORRECTED
-        yield {"n": n, "reading": "literal-identity"}, running, _IdentityMinus((2**n, X(k + n))), None, HOLDS
-        ones = (2**n) * _member(lambda i: 1, k, p.r, 0) - X(k + n)
-        yield {"n": n, "reading": "literal-ones"}, running, ones, None, HOLDS
+        yield {"n": n, "reading": "literal-identity"}, running, (2**n) * unit - X(k + n), None, HOLDS
+        yield {"n": n, "reading": "literal-ones"}, running, (2**n) * ones - X(k + n), None, HOLDS
 
 
-@_checker()
+@_checker(vectors="order")
 def check_strided_sum(p: CheckerParams, X, L):
     """Stride-k sum: sum of X(k*n + j + 1) for n = 0..m against the block
     of consecutive terms X(j-n) for n = -mk..k-1."""
@@ -376,7 +462,7 @@ def check_strided_sum(p: CheckerParams, X, L):
             yield {"j": j, "m": m}, lhs, rhs
 
 
-@_checker()
+@_checker(vectors="order")
 def check_k_stride(p: CheckerParams, X, L):
     """Sum of X(k*n) for n = 1..m against the tail sum of X(k-1-n) over
     n = k*(1-m)..k-1."""
@@ -391,7 +477,7 @@ def check_k_stride(p: CheckerParams, X, L):
         yield {"m": m}, lhs, rhs
 
 
-@_checker()
+@_checker(vectors="order")
 def check_congruence_sum(p: CheckerParams, X, L):
     """X(k*m) - X(0) against the tail sum restricted to offsets n with
     n not congruent to 0 modulo k-1."""
@@ -425,7 +511,7 @@ def check_square_convolution(p: CheckerParams, X, L):
         yield {"n": n}, sq_sum, rhs
 
 
-@_checker()
+@_checker(vectors="order")
 def check_power_expansion(p: CheckerParams, X, L):
     """X(j+n) expanded as 2^n times a short back sum plus weighted terms,
     valid for 1 <= n <= k-1; out-of-range n is reported as skipped."""
@@ -463,7 +549,7 @@ def _scaled(r: int, F, L, i: int):
     return 5 ** (r // 2) * (L(i) if r % 2 else F(i))
 
 
-@_checker(order=2)
+@_checker(order=2, vectors="level")
 def check_lucas_pair(p: CheckerParams, F, L):
     """Two linear pair identities: L(s) + L(s+2) against 5*F(s+1), and
     F(s) + F(s+2) against L(s+1)."""
@@ -483,7 +569,7 @@ def check_addition_formula(p: CheckerParams, F, L):
             yield {"m": m, "n": n}, _scaled(p.r, F, L, m + n), F(m - 1) * F(n) + F(m) * F(n + 1)
 
 
-@_checker(order=2)
+@_checker(order=2, vectors="order")
 def check_fl_double(p: CheckerParams, F, L):
     """F(n) + L(n) against 2*F(n+1)."""
     for n in range(p.j_min, p.j_max + 1):
@@ -833,7 +919,7 @@ def iter_suite(selection=None, grid: SuiteGrid | None = None):
     The selection, the grid and every CheckerParams are checked here,
     before the first case is made.  Checkers run in id order, and each
     checker's per-(k, r) streams, each already in report order, are
-    merged as they come.  A case that does not sort strictly after the
+    merged as they come (a linear checker's as _views).  A case that does not sort strictly after the
     one before it, out of order or a duplicate, is a library defect and
     raises.
     """
@@ -842,7 +928,8 @@ def iter_suite(selection=None, grid: SuiteGrid | None = None):
     runs = []
     for checker_id in sorted(resolve_selection(selection)):
         checker = CHECKERS[checker_id]
-        runs.append((checker.stream, [CheckerParams(k, r, *bounds) for k, r in _combos(checker, grid)]))
+        params = [CheckerParams(k, r, *bounds) for k, r in _combos(checker, grid)]
+        runs.append((checker.stream, _views(checker, params)))
     return _in_report_order(runs)
 
 
@@ -853,9 +940,10 @@ def _keyed(cases, tiebreak: int):
 
 
 def _in_report_order(runs):
-    """The cases of one suite run, which starts and ends with no member
-    cached, so that no run reads the members of another."""
+    """The cases of one suite run, which starts and ends with no member or
+    vector cached, so that no run reads the values of another."""
     _members.cache_clear()
+    _vectors.cache_clear()
     last = ()
     try:
         for stream, params in runs:
@@ -869,6 +957,7 @@ def _in_report_order(runs):
                 yield case
     finally:
         _members.cache_clear()
+        _vectors.cache_clear()
 
 
 def _run_fields(selection, grid: SuiteGrid | None):

@@ -290,21 +290,21 @@ def test_geometric_reads_its_literal_identity_member_through_x(monkeypatch):
 
 
 def test_geometric_literal_identity_side_stays_at_class_level(monkeypatch):
-    from kbonacci import identities, matrix
+    from kbonacci import identities
 
     dims, texts = [], []
     of = SquareMatrix._of.__func__
     monkeypatch.setattr(SquareMatrix, "_of", classmethod(lambda cls, flat, n: dims.append(n) or of(cls, flat, n)))
-    for module in (identities, matrix):
-        monkeypatch.setattr(module, "decimal_text", lambda n: texts.append(n) or str(n))
+    monkeypatch.setattr(identities, "_text", lambda values: lambda n: texts.append(n) or str(n))
     cases = CHECKERS["geometric"](CheckerParams(k=4, r=3, n_max=3)).cases
     d = 10  # r(k-1)+1 digit sums, against k^r = 64 positions
-    assert max(dims) == d
+    # every side is a term vector: no matrix is made, of any dimension
+    assert dims == []
     statuses = {(c.params["reading"], c.status) for c in cases}
     assert statuses == {("corrected", HOLDS_CORRECTED), ("literal-identity", FAILS), ("literal-ones", FAILS)}
-    # a table side is written from its d^2 values, the literal identity
-    # side from d^2 off the diagonal and d on it
-    assert len(texts) == 3 * (d * d + d * d + d) + 3 * (d * d + d * d)
+    # a side is written from its 2d - 1 values, the literal identity
+    # side's diagonal from d more
+    assert len(texts) == 3 * ((2 * d - 1) * 2 + d) + 3 * ((2 * d - 1) * 2)
 
 
 def test_q_power_steps_from_a_kept_neighbour(monkeypatch):
@@ -455,6 +455,9 @@ def test_failing_cases_classified_once_at_creation(monkeypatch):
 
 
 def test_class_tables_match_dense_members_case_for_case(monkeypatch):
+    # only the product checkers read _member: the linear ones run on term
+    # vectors, which tests/test_differential_grids.py compares with
+    # per-level runs; square_convolution still reaches every (k, r)
     from kbonacci import builders, identities
 
     grid = SuiteGrid(max_k=4, max_r=3, dim_cap=64)

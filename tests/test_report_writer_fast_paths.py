@@ -9,9 +9,10 @@ exactly what json.dumps writes, with ints quoted or not, on values that
 mix repeated rows, rows of mixed types, empty rows, case-shaped dicts of
 every near shape and generators of them, and on keys, strings and ints
 that would trip a careless template.  A top-level list still streams
-item by item.  The payload of a class table shares one list between the
-rows of equal digit sum; to_json_dict and jsonify must still hand out
-lists of their own.
+item by item.  The payload of a class table or a term vector shares one
+list between the rows of equal digit sum; to_json_dict and jsonify must
+still hand out lists of their own.  Payload cells are written by str up to
+LEAF_DIGITS digits and by decimal_text past them, with the same texts.
 """
 
 from __future__ import annotations
@@ -25,8 +26,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci.builders import _digit_sums, build_higher
-from kbonacci.identities import FAILS, SuiteResult, _case, _IdentityMinus, _member, _serialize, json_chunks, jsonify
-from kbonacci.matrix import decimal_text, identity, to_json_dict
+from kbonacci.identities import (
+    FAILS,
+    SuiteResult,
+    _case,
+    _cut,
+    _member,
+    _serialize,
+    _text,
+    _units,
+    _vectors,
+    json_chunks,
+    jsonify,
+)
+from kbonacci.matrix import LEAF_DIGITS, decimal_text, identity, to_json_dict
 from kbonacci.sequences import term
 
 TEXT = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "é中", "null", "{}"])
@@ -247,16 +260,22 @@ def test_a_top_level_list_is_written_item_by_item(values):
 @pytest.mark.parametrize("k, r", LEVELS)
 @pytest.mark.parametrize("c", [0, 3])
 def test_literal_identity_payload_rows_are_lists_of_their_own(k, r, c):
-    table = _member(partial(term, k), k, r, 4)
-    payload = _IdentityMinus((c, table)).payload(k, r)
+    """c*I - m, m a level's vector: with c != 0 each row is a list of its
+    own, as its diagonal entry differs from the rest of its class; with
+    c = 0 it is -m, whose rows of one class are one list."""
+    member = _vectors("F", k, r * (k - 1), 4)
+    lhs, side = next(_cut([({}, member, c * _units(member)[0] - member)], k, r, r))[1:]
+    payload = _serialize(side, k, r)
     dense = c * identity(k**r) - build_higher(k, r, 4)
     assert payload == to_json_dict(dense)
     rows = payload["entries"]
-    assert len({id(row) for row in rows}) == len(rows) == k**r
+    ds = _digit_sums(k, r)[0]
+    classes = len(ds) if c else len(set(ds))
+    assert len({id(row) for row in rows}) == classes and len(rows) == k**r
     assert all(type(row) is list for row in rows)
     assert [row[R] for R, row in enumerate(rows)] == [decimal_text(dense.entry(R, R)) for R in range(k**r)]
 
-    case = _case("geometric", {"k": k, "r": r}, table, _IdentityMinus((c, table)))
+    case = _case("geometric", {"k": k, "r": r}, lhs, side)
     assert case.status == FAILS
     own = case.counterexample["rhs"]["entries"]
     before = [list(row) for row in own]
@@ -264,3 +283,22 @@ def test_literal_identity_payload_rows_are_lists_of_their_own(k, r, c):
     copy[0][0] = "changed"
     copy[-1].append("extra")
     assert own == before
+
+
+def test_payload_cells_past_leaf_digits_are_written_by_decimal_text():
+    """A failing case whose values pass 10^LEAF_DIGITS, and the
+    interpreter's own str limit, is written from decimal_text: as a term
+    vector and as a class table, at both ends of the range."""
+    assert _text([10**LEAF_DIGITS - 1, 1 - 10**LEAF_DIGITS]) is str
+    assert _text([0, 10**LEAF_DIGITS]) is _text([-(10**LEAF_DIGITS), 0]) is decimal_text
+    k, r = 3, 2
+    for j in (3000, -6000, 17000):
+        dense = build_higher(k, r, j)
+        assert max(abs(e) for row in dense.rows for e in row) > 10**LEAF_DIGITS
+        vector = _vectors("F", k, r * (k - 1), j)
+        table = _member(partial(term, k), k, r, j)
+        for sides in (next(_cut([({}, vector, 2 * vector)], k, r, r))[1:], (table, 2 * table)):
+            case = _case("mixed", {"k": k, "r": r}, *sides)
+            assert case.status == FAILS
+            assert case.counterexample["lhs"] == to_json_dict(dense)
+            assert case.counterexample["rhs"] == to_json_dict(2 * dense)

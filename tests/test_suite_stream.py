@@ -163,6 +163,77 @@ def test_a_default_run_builds_each_member_once(monkeypatch):
     assert set(builds.values()) == {1}
 
 
+LINEAR = [checker_id for checker_id in CHECKER_IDS if CHECKERS[checker_id].vectors]
+
+
+def test_the_linear_checkers_are_the_nine_that_run_on_term_vectors():
+    assert LINEAR == [
+        "sum_formula",
+        "double_shift",
+        "geometric",
+        "strided_sum",
+        "k_stride",
+        "congruence_sum",
+        "power_expansion",
+        "lucas_pair",
+        "fl_double",
+    ]
+    assert {CHECKERS[c].vectors for c in LINEAR} == {"order", "level"}
+    assert [c for c in LINEAR if CHECKERS[c].vectors == "level"] == ["lucas_pair"]
+
+
+def test_a_default_run_runs_each_linear_generator_once_per_order(monkeypatch):
+    """Every level r >= 1 of one order reads the one run of its top level:
+    a run per order, or per level for lucas_pair, whose levels are not read
+    in step.  Each run's steps are copied once per level (itertools.tee)."""
+    linear_cases = sum(1 for case in run_suite().cases if case.checker in LINEAR)
+    runs = Counter()
+    copy = identities.tee
+
+    def counting(steps, n):
+        p = steps.gi_frame.f_locals["p"]
+        runs[steps.__name__.removeprefix("check_"), p.k, p.r] += 1
+        return copy(steps, n)
+
+    monkeypatch.setattr(identities, "tee", counting)
+    assert sum(1 for _ in iter_suite(LINEAR, DEFAULT)) == linear_cases
+    expected = Counter()
+    for checker_id in LINEAR:
+        combos = [(k, r) for k, r in _combos(CHECKERS[checker_id], DEFAULT) if r]
+        for k in sorted({k for k, _ in combos}):
+            levels = [r for kk, r in combos if kk == k]
+            for top in levels if CHECKERS[checker_id].vectors == "level" else levels[-1:]:
+                expected[checker_id, k, top] += 1
+    assert runs == expected
+    # seven checkers of any order at three orders, fl_double at order 2,
+    # lucas_pair at its three levels
+    assert len(runs) == 7 * 3 + 1 + 3
+
+
+def test_no_linear_case_makes_a_matrix(monkeypatch):
+    """With the order-2 companion-power check left out, the linear checkers
+    make no SquareMatrix on either grid: a fallback to per-level class
+    tables would add and scale them."""
+    from kbonacci.matrix import SquareMatrix
+
+    made = Counter()
+
+    def counted(name, method):
+        return lambda *args: made.update([name]) or method(*args)
+
+    for name in ("__add__", "__sub__", "scale", "__mul__", "__rmul__"):
+        monkeypatch.setattr(SquareMatrix, name, counted(name, getattr(SquareMatrix, name)))
+    of = SquareMatrix._of.__func__
+    monkeypatch.setattr(SquareMatrix, "_of", classmethod(lambda cls, flat, n: made.update(["_of"]) or of(cls, flat, n)))
+    monkeypatch.setattr(identities, "_lockstep", lambda cases, shadow, vectors=None: cases)
+    for grid in (DEFAULT, DENSE):
+        assert sum(1 for case in iter_suite(LINEAR, grid) if case.params["r"]) > 2000
+    assert not made
+    # the same patches count the product checkers' table arithmetic
+    sum(1 for _ in iter_suite(["square_convolution"], DEFAULT))
+    assert made["__add__"] and made["__mul__"]
+
+
 def test_an_evicting_cache_yields_the_same_cases(monkeypatch):
     cases = list(iter_suite())
     builds = count_member_builds(monkeypatch)
@@ -172,15 +243,19 @@ def test_an_evicting_cache_yields_the_same_cases(monkeypatch):
 
 
 def test_the_member_cache_stays_bounded_and_ends_with_the_run():
-    cache = identities._members
-    assert cache.cache_info().maxsize == MEMBER_CACHE_SIZE
-    # 7 matrix levels of about 200 members each, more than the bound
-    sizes = [cache.cache_info().currsize for _ in iter_suite(["double_shift"], SuiteGrid(j_min=0, j_max=200))]
-    assert max(sizes) == MEMBER_CACHE_SIZE
-    assert cache.cache_info().currsize == 0
+    runs = ((identities._members, "square_sum", 200), (identities._vectors, "double_shift", 400))
+    for cache, selection, j_max in runs:
+        assert cache.cache_info().maxsize == MEMBER_CACHE_SIZE
+        # square_sum reads about 400 members at each of 3 matrix levels;
+        # double_shift about 400 term vectors at each of 3 orders
+        grid = SuiteGrid(j_min=0, j_max=j_max)
+        sizes = [cache.cache_info().currsize for _ in iter_suite([selection], grid)]
+        assert max(sizes) == MEMBER_CACHE_SIZE, selection
+        assert cache.cache_info().currsize == 0
     # a checker called on its own is a run of its own
     CHECKERS["fl_double"](CheckerParams(k=2, r=2))
-    assert cache.cache_info().currsize == 0
+    CHECKERS["square_sum"](CheckerParams(k=2, r=2))
+    assert identities._members.cache_info().currsize == identities._vectors.cache_info().currsize == 0
 
 
 def reference_sort_key(c: CheckCase):
