@@ -148,24 +148,25 @@ def _units(like):
 
 
 def _cut(steps, k: int, top: int, r: int):
-    """steps on level-top vectors, each vector side cut to level r: its
-    middle 2r(k-1) + 1 entries and c, folded into them at r(k-1) = 1."""
+    """steps on level-top vectors, each vector side cut to level r, a
+    _Terms of its middle 2r(k-1) + 1 entries and c, folded into them at
+    r(k-1) = 1."""
     lo, hi = (top - r) * (k - 1), (top + r) * (k - 1) + 1
     fold = hi - lo == 3
     for index, *sides in steps:
         for n, side in enumerate(sides):
             if type(side) is _Terms:
                 cut, c = side[lo:hi], side[-1]
-                sides[n] = (cut[0] + c, cut[1], cut[2] + c, 0) if fold and c else cut + (c,)
+                sides[n] = _Terms((cut[0] + c, cut[1], cut[2] + c, 0) if fold and c else cut + (c,))
         yield (index, *sides)
 
 
 def _hankel(side):
-    """A 2x2 matrix [[a, b], [b, d]] as _cut's value (a, b, d, 0); any
-    other side as it is."""
+    """A 2x2 matrix [[a, b], [b, d]] as _cut's value _Terms((a, b, d, 0));
+    any other side as it is."""
     if isinstance(side, SquareMatrix):
         (a, b), (b2, d) = side.rows
-        return (a, b, d, 0) if b == b2 else side
+        return _Terms((a, b, d, 0)) if b == b2 else side
     return side
 
 
@@ -707,11 +708,12 @@ def json_chunks(value, quote_ints: bool = True):
     returns, called when that value is written, after the keys that sort
     before it.  Dictionary keys must be strings.
 
-    The top-level value, and a list, tuple or generator directly in it,
-    are written one item per chunk; each item below is one chunk, joined
-    once from its pieces (_write).  A row of strings is one join, a dict
-    of scalars or a report case with no counterexample is one %-format of
-    a cached template (_template).
+    A plain JSON writer: the top-level value, and a list, tuple or
+    generator directly in it, are written one item per chunk; each item
+    below is one chunk, joined once from its pieces (_write).  A row of
+    strings is one join, and a dict of scalars one %-format of the cached
+    template of its keys (_template).  A suite report's cases are written
+    by SuiteRun.json_chunks itself.
     """
     return _chunks(value, "\n", quote_ints, True)
 
@@ -750,9 +752,7 @@ def _chunks(value, newline: str, quote_ints: bool, top: bool):
     newline; top streams a list, tuple or generator item the same way."""
     container = _container(value)
     if container is None:
-        out = []
-        _write(value, newline, quote_ints, out)
-        yield "".join(out)
+        yield _joined(value, newline, quote_ints)
         return
     brackets, items = container
     inner = newline + "  "
@@ -769,43 +769,31 @@ def _chunks(value, newline: str, quote_ints: bool, top: bool):
     yield brackets if opening[0] != "," else newline + brackets[1]
 
 
-# the most shapes that _template and _sorted_names each keep: the default
-# and dense grids have 16 plain-case shapes and 9 tuples of param names
+# the most shapes that each shape cache keeps: a report of the default or
+# the dense grid has 21 case shapes (_case_template), 16 of them without a
+# counterexample, and reads 4 shapes from _template and 12 from _sorted_names
 SHAPE_CACHE_SIZE = 128
+_SCALARS = frozenset({str, int, bool, float, type(None)})
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _template(case: tuple | None, names: tuple, newline: str, slot: str) -> tuple:
-    """The %-format template of a dict with keys names, whose values are
-    written as slot, and its keys in the order they fill it; with case a
-    (checker, status) pair, of a report case with no counterexample and
-    that dict as its params."""
-    inner = newline + "  "
+def _template(names: tuple, newline: str) -> tuple:
+    """The %-format template of a dict with keys names, and its keys in the
+    order they fill it."""
     keys = _sorted_names(names)
-    items = [(key, slot) for key in keys]
-    if case is not None:
-        checker, status = (_quote(text).replace("%", "%%") for text in case)
-        params = _template(None, names, inner, slot)[0]
-        items = [("counterexample", "null"), ("id", checker), ("params", params), ("status", status)]
-    if not items:
+    if not keys:
         return "{}", keys
-    body = ("," + inner).join(_quote(key).replace("%", "%%") + ": " + text for key, text in items)
+    inner = newline + "  "
+    body = ("," + inner).join(_quote(key).replace("%", "%%") + ": %s" for key in keys)
     return "{" + inner + body + newline + "}", keys
 
 
-def _filled(case: tuple | None, value: dict, newline: str, quote_ints: bool) -> str | None:
+def _filled(value: dict, newline: str, quote_ints: bool) -> str | None:
     """_template's text of value, filled with the texts of its values;
     None if one of them is not a str, int, bool, float or None."""
-    kinds = set(map(type, value.values()))
-    if kinds <= {int}:
-        template, keys = _template(case, tuple(value), newline, '"%s"' if quote_ints else "%s")
-        try:
-            return template % tuple(map(value.__getitem__, keys))
-        except ValueError:
-            pass  # an int past the interpreter's int-to-text digit limit
-    elif not kinds <= {str, int, bool, float, type(None)}:
+    if not _SCALARS.issuperset(map(type, value.values())):
         return None
-    template, keys = _template(case, tuple(value), newline, "%s")
+    template, keys = _template(tuple(value), newline)
     return template % tuple(_scalar_json(value[key], quote_ints) for key in keys)
 
 
@@ -827,22 +815,14 @@ def _row(row, newline: str) -> str | None:
     return f'[{inner}"{body}"{newline}]'
 
 
-_CASE_KEYS = frozenset({"counterexample", "id", "params", "status"})
-
-
 def _write(value, newline: str, quote_ints: bool, out: list) -> None:
     """Append json_chunks' text of value, at the nesting level whose
-    closing bracket follows newline, to out: a scalar, a row of strings, a
-    dict of scalars or a plain case as one string, any other value piece
-    by piece, so that no piece is copied before the chunk is joined."""
+    closing bracket follows newline, to out: a scalar, a row of strings or
+    a dict of scalars as one string, any other value piece by piece, so
+    that no piece is copied before the chunk is joined."""
     kind = type(value)
     if kind is dict:
-        text = None
-        if value.keys() == _CASE_KEYS and value["counterexample"] is None:
-            case, params = (value["id"], value["status"]), value["params"]
-            if type(case[0]) is type(case[1]) is str and type(params) is dict:
-                text = _filled(case, params, newline, quote_ints)
-        text = text or _filled(None, value, newline, quote_ints)
+        text = _filled(value, newline, quote_ints)
     elif kind is list or kind is tuple:
         text = _row(value, newline) if value and isinstance(value[0], str) else None
     else:
@@ -859,18 +839,9 @@ def _write(value, newline: str, quote_ints: bool, out: list) -> None:
     brackets, items = container
     inner = newline + "  "
     opening = brackets[0] + inner
-    # a list or tuple keeps its items alive, so an id names one item: an
-    # item that repeats, such as a payload row, is written once
-    repeats = {} if isinstance(value, (list, tuple)) else None
     for head, item in items:
         out.append(opening + head)
-        if repeats is not None and id(item) in repeats:
-            out += repeats[id(item)]
-        else:
-            start = len(out)
-            _write(item, inner, quote_ints, out)
-            if repeats is not None and isinstance(item, (list, tuple)):
-                repeats[id(item)] = out[start:]
+        _write(item, inner, quote_ints, out)
         opening = "," + inner
     out.append(brackets if opening[0] != "," else newline + brackets[1])
 
@@ -878,6 +849,94 @@ def _write(value, newline: str, quote_ints: bool, out: list) -> None:
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _sorted_names(names: tuple) -> tuple:
     return tuple(sorted(names))
+
+
+# SuiteRun's report writes its cases itself, each at the nesting level of
+# the report's "cases" list: a case's closing brace follows _CASE
+_CASE = "\n    "
+_CX_HEAD = "{" + _CASE + '  "counterexample": '
+_TABLE_KEYS = frozenset({"dim", "entries"})
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _case_template(checker: str, status: str, names: tuple, types: tuple, failing: bool):
+    """The %-format template of a report case of one shape, the keys of its
+    params in the order they fill it and the places of the values that are
+    not ints; None if a value's type is not an exact scalar type.  An int
+    fills a quoted slot; any other value, by _scalar_json, a bare one.  A
+    failing case's template starts after its counterexample."""
+    if not _SCALARS.issuperset(types):
+        return None
+    inner, deeper = _CASE + "  ", _CASE + "    "
+    kinds = dict(zip(names, types))
+    keys = _sorted_names(names)
+    fields = [_quote(key).replace("%", "%%") + (': "%s"' if kinds[key] is int else ": %s") for key in keys]
+    params = "{" + deeper + ("," + deeper).join(fields) + inner + "}" if keys else "{}"
+    checker, status = (_quote(text).replace("%", "%%") for text in (checker, status))
+    tail = f',{inner}"id": {checker},{inner}"params": {params},{inner}"status": {status}{_CASE}}}'
+    others = tuple(i for i, key in enumerate(keys) if kinds[key] is not int)
+    return (tail if failing else _CX_HEAD + "null" + tail), keys, others
+
+
+def _joined(value, newline: str, quote_ints: bool = True) -> str:
+    """_write's text of value, joined."""
+    out = []
+    _write(value, newline, quote_ints, out)
+    return "".join(out)
+
+
+def _counterexample(value, out: list) -> None:
+    """Append a failing case's counterexample to out: a dict key by key, in
+    which a payload table {"dim", "entries"} writes each distinct row
+    object once, found by id, and spreads its text back over the rows; any
+    other value by _write."""
+    if type(value) is not dict or not value:
+        return _write(value, _CASE + "  ", True, out)
+    inner, deeper = _CASE + "    ", _CASE + "      "
+    row_newline = deeper + "  "
+    opening = "{" + inner
+    for key in _sorted_names(tuple(value)):
+        out.append(opening + _quote(key) + ": ")
+        part = value[key]
+        rows = part["entries"] if type(part) is dict and part.keys() == _TABLE_KEYS else None
+        if type(rows) is list and rows:
+            texts = {i: _joined(row, row_newline) for i, row in dict(zip(map(id, rows), rows)).items()}
+            out += ("{" + deeper + '"dim": ', _joined(part["dim"], deeper), "," + deeper + '"entries": [' + row_newline)
+            out += chain.from_iterable(zip(map(texts.__getitem__, map(id, rows)), repeat("," + row_newline)))
+            out[-1] = deeper + "]" + inner + "}"
+        else:
+            _write(part, inner, True, out)
+        opening = "," + inner
+    out.append(_CASE + "  }")
+
+
+def _case_text(case: CheckCase, opening: str) -> str:
+    """opening and the text of a report case, as json_chunks writes its
+    dict in SuiteRun's "cases" list: its shape's template filled with one
+    %, after the counterexample's pieces for a failing case, and those
+    pieces joined once.  A case of any other shape goes through _write."""
+    checker, params, status, counterexample = case[:4]
+    shape = None
+    if type(params) is dict and type(checker) is str and type(status) is str:
+        types = tuple(map(type, params.values()))
+        shape = _case_template(checker, status, tuple(params), types, counterexample is not None)
+    if shape is None:
+        value = {"counterexample": counterexample, "id": checker, "params": params, "status": status}
+        return opening + _joined(value, _CASE)
+    template, keys, others = shape
+    values = [*map(params.__getitem__, keys)]
+    for i in others:
+        values[i] = _scalar_json(values[i], True)
+    try:
+        text = template % tuple(values)
+    except ValueError:  # an int past the interpreter's int-to-text digit limit
+        text = template % tuple(decimal_text(v) if type(v) is int else v for v in values)
+    if counterexample is None:
+        return opening + text
+    out = [opening, _CX_HEAD]
+    _counterexample(counterexample, out)
+    out.append(text)
+    return "".join(out)
 
 
 def _case_sort_key(c: CheckCase) -> tuple:
@@ -996,21 +1055,31 @@ class SuiteRun:
         return not self.unexpected
 
     def _report(self, include_timestamp: bool) -> dict:
-        """The report's fields: the cases as a generator, one dict each, and the verdict as a function."""
-        cases = (
-            {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample} for c in self
-        )
-        report = {"suite": self.suite, "grid": self.grid, "cases": cases, "pass": lambda: self.passed}
+        """The report's fields but its cases, the verdict as a function."""
+        report = {"suite": self.suite, "grid": self.grid, "pass": lambda: self.passed}
         if include_timestamp:
             report["generated_at"] = self.generated_at
         return report
 
     def to_json_dict(self, include_timestamp: bool = True) -> dict:
-        return jsonify(self._report(include_timestamp))
+        cases = (
+            {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample} for c in self
+        )
+        # jsonify reads the cases first, so the verdict is read after them
+        return jsonify({"cases": cases, **self._report(include_timestamp)})
 
     def json_chunks(self, include_timestamp: bool = True):
-        """The text of to_json in chunks, written case by case."""
-        return json_chunks(self._report(include_timestamp))
+        """The text of to_json in chunks: one per case, written straight
+        from the CheckCase (_case_text), then the report's other fields as
+        json_chunks writes them, the verdict once the cases are read."""
+        first = opening = '{\n  "cases": [' + _CASE
+        for case in self:
+            yield _case_text(case, opening)
+            opening = "," + _CASE
+        fields = json_chunks(self._report(include_timestamp))
+        # "cases" sorts first: the fields' own opening brace gives way to it
+        yield ('{\n  "cases": [],' if opening is first else "\n  ],") + next(fields)[1:]
+        yield from fields
 
     def to_json(self, include_timestamp: bool = True) -> str:
         """The report as json.dumps(to_json_dict(...), indent=2,

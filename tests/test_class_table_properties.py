@@ -135,6 +135,27 @@ def test_vector_combinations_match_dense_matrices(level, above, terms, e, f, i):
     assert _serialize(B, k, r) == to_json_dict(b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(level=LEVELS, above=st.integers(1, 2), i=INDEX, j=INDEX, c=st.integers(-3, 3), d=st.integers(-3, 3), a=SCALAR)
+def test_arithmetic_on_a_cut_side_is_the_cut_of_the_arithmetic(level, above, i, j, c, d, a):
+    """A side cut to level r from level r + above is a vector still: +, -
+    and integer * on cut sides give the cut of the same operation done
+    before the cut, with c (folded in at r(k-1) = 1) carried along."""
+    k, r = level
+    top = r + above
+    X, Y = (_vectors("F", k, top * (k - 1), x) for x in (i, j))
+    one = _units(X)[0]
+    x, y = X + c * one, d * one - Y
+    for left, right in ((x, y), (y, x)):
+        cut_left, cut_right = (_level_value(v, k, top, r) for v in (left, right))
+        assert type(cut_left) is type(cut_right) is _Terms
+        assert len(cut_left) == 2 * r * (k - 1) + 2
+        assert cut_left + cut_right == _level_value(left + right, k, top, r)
+        assert cut_left - cut_right == _level_value(left - right, k, top, r)
+        assert a * cut_left == cut_left * a == _level_value(a * left, k, top, r)
+        assert _dense_rows(2 * cut_left, k, r) == _dense_rows(_level_value(2 * left, k, top, r), k, r)
+
+
 @settings(max_examples=30, deadline=None)
 @given(r=st.integers(1, 6), above=st.integers(0, 2), i=INDEX, j=INDEX)
 def test_lucas_vectors_match_the_lucas_builder(r, above, i, j):

@@ -1,18 +1,20 @@
-"""Tests for the report writer's fast paths and the payload rows they read.
+"""Tests for the report writers' fast paths and the payload rows they read.
 
-json_chunks writes a list or tuple of strings only (a matrix row) once
-per distinct object inside one list or tuple, and reuses that text where
-the same object repeats; it writes a report case with no counterexample
-from one template per checker, status and params shape, and any other
-dict of scalars from one template per shape of keys.  All must give
-exactly what json.dumps writes, with ints quoted or not, on values that
-mix repeated rows, rows of mixed types, empty rows, case-shaped dicts of
-every near shape and generators of them, and on keys, strings and ints
-that would trip a careless template.  A top-level list still streams
-item by item.  The payload of a class table or a term vector shares one
-list between the rows of equal digit sum; to_json_dict and jsonify must
-still hand out lists of their own.  Payload cells are written by str up to
-LEAF_DIGITS digits and by decimal_text past them, with the same texts.
+json_chunks is a plain JSON writer: a list or tuple of strings (a matrix
+row) is one join, and a dict of scalars is filled into one template per
+shape of keys.  SuiteRun writes its own cases, from one template per
+case shape (checker, status, param names and types, and whether there is
+a counterexample), and each distinct row object of a payload table once.
+All must give exactly what json.dumps writes, with ints quoted or not,
+on values that mix repeated rows, rows of mixed types, empty rows,
+case-shaped dicts of every near shape and generators of them, on reports
+of CheckCases of every status and payload, and on keys, strings and
+ints that would trip a careless template.  A top-level list still
+streams item by item.  The payload of a class table or a term vector
+shares one list between the rows of equal digit sum; to_json_dict and
+jsonify must still hand out lists of their own.  Payload cells are
+written by str up to LEAF_DIGITS digits and by decimal_text past them,
+with the same texts.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from hypothesis import strategies as st
 from kbonacci.builders import _digit_sums, build_higher
 from kbonacci.identities import (
     FAILS,
+    HOLDS,
+    HOLDS_CORRECTED,
+    SKIPPED,
     SuiteResult,
     _case,
     _cut,
@@ -193,12 +198,12 @@ def test_copies_of_a_payload_do_not_share_rows(k, r):
     assert jsonify(case.counterexample) == before
 
 
-# Template fast paths: a dict of scalars is written from one str.format
-# template per shape of keys, and a case with no counterexample from one
-# per checker, status and params shape.  Keys and strings hold what would
-# break an unescaped template; bools must not take an int's slot; ints
-# cross 10^600, where decimal_text divides and conquers, and the
-# 4,300-digit int-to-text limit, where str.format raises.
+# Template fast paths: json_chunks writes a dict of scalars from one
+# %-format template per shape of keys, and a case-shaped dict as any other
+# dict.  Keys and strings hold what would break an unescaped template;
+# bools must not take an int's slot; ints cross 10^600, where decimal_text
+# divides and conquers, and the 4,300-digit int-to-text limit, where %
+# raises.
 SIGN = st.sampled_from((1, -1))
 DIGITS = st.sampled_from([600, 4299, 4300, 4400])
 BIG = st.builds(lambda sign, digits, low: sign * (10**digits + low), SIGN, DIGITS, st.integers(0, 10**9))
@@ -302,3 +307,46 @@ def test_payload_cells_past_leaf_digits_are_written_by_decimal_text():
             assert case.status == FAILS
             assert case.counterexample["lhs"] == to_json_dict(dense)
             assert case.counterexample["rhs"] == to_json_dict(2 * dense)
+
+
+# SuiteRun's case writer: a report of CheckCases made by _case, of every
+# status, with params of every shape the checkers use (note, reading,
+# part) and of values that would trip a template, and counterexamples of
+# decimal text, class tables whose rows of one digit sum are one list and
+# cut vectors with c != 0 on their diagonal.
+CASE_TEXT = BRACED | st.sampled_from(["%", "%s", "100%", "{}", '"', "\\", "é中", "requires 1 <= n <= k-1"])
+PARAM_VALUES = INTS | BIG | st.sampled_from([10**600, -(10**600)]) | st.booleans() | st.none() | CASE_TEXT
+PARAM_NAMES = st.sampled_from(["n", "j", "m", "s", "note", "reading", "part"]) | BRACED
+
+
+@st.composite
+def report_cases(draw):
+    """A CheckCase made by _case, of a drawn status and kind of side."""
+    status = draw(st.sampled_from([HOLDS, SKIPPED, FAILS, HOLDS_CORRECTED]))
+    side = draw(st.sampled_from(["int", "table", "vector"]))
+    k, r = (draw(st.integers(2, 4)), 0) if side == "int" else draw(st.sampled_from(LEVELS))
+    params = {"k": k, "r": r, **draw(st.dictionaries(PARAM_NAMES, PARAM_VALUES, max_size=3))}
+    if side == "int":
+        lhs, other = draw(INTS | BIG), draw(INTS | BIG)
+    elif side == "table":
+        lhs, other = (_member(partial(term, k), k, r, draw(st.integers(-8, 12))) for _ in "ab")
+    else:
+        top = r + draw(st.integers(0, 1))
+        v, w = (_vectors("F", k, top * (k - 1), draw(st.integers(-8, 12))) for _ in "ab")
+        c = draw(st.integers(1, 5) | st.just(2**70))
+        lhs, other = next(_cut([({}, c * _units(v)[0] - v, w)], k, top, r))[1:]
+    rhs = lhs if status in (HOLDS, SKIPPED) else lhs + other
+    checker = draw(CASE_TEXT | st.sampled_from(["geometric", "sum_formula", "lucas_pair"]))
+    corrected = lhs if status == HOLDS_CORRECTED else None
+    return _case(checker, params, lhs, rhs, corrected, SKIPPED if status == SKIPPED else HOLDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(report_cases(), max_size=6), CASE_TEXT, st.dictionaries(CASE_TEXT, INTS, max_size=2), CASE_TEXT)
+@example([], "none", {}, "")
+def test_the_case_writer_matches_json_dumps(cases, suite, grid, generated_at):
+    result = SuiteResult(suite, grid, cases, generated_at)
+    for include_timestamp in (False, True):
+        expected = json.dumps(result.to_json_dict(include_timestamp), indent=2, sort_keys=True)
+        assert result.to_json(include_timestamp) == expected
+    assert len(list(result.json_chunks())) >= len(cases)

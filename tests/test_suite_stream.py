@@ -322,6 +322,13 @@ def test_the_shape_caches_stay_at_their_bound():
         assert info.maxsize == info.currsize == SHAPE_CACHE_SIZE
 
 
+def test_the_case_writer_keeps_its_bound_of_case_shapes():
+    cases = [CheckCase("fl_double", {"k": 2, "r": 0, f"p{i}": i}, "holds") for i in range(10 * SHAPE_CACHE_SIZE)]
+    identities.SuiteResult("fl_double", {}, cases).to_json()
+    info = identities._case_template.cache_info()
+    assert info.maxsize == info.currsize == SHAPE_CACHE_SIZE
+
+
 def test_a_drained_run_and_run_suite_give_one_report():
     run = identities.SuiteRun()
     text = "".join(run.json_chunks(include_timestamp=False))
