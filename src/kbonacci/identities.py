@@ -22,7 +22,8 @@ generator that is handed its evaluators.  At order 2 and level 1
 every member is a power of the companion matrix Q, so there each
 checker's generator also runs on plain powers of Q, an independent second
 oracle; a disagreement there is a library defect and raises instead of
-reporting.
+reporting.  The driver makes each case's sort key once, as it merges the
+streams in report order, and SuiteRun writes the case from that key.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import time
 from collections import namedtuple
 from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, is_, itemgetter, mul, sub
 from types import GeneratorType
 
 from .builders import CACHE_SIZE, _digit_sums, _member_table, _spread, build_higher, fast_f
@@ -100,6 +101,12 @@ class CheckCase(namedtuple("CheckCase", "checker params status counterexample re
     def unexpected(self) -> bool:
         """A failure with no documented reason."""
         return self.status == FAILS and self.reason is None
+
+
+# the suite builds CheckCases as _tuple_new(CheckCase, (all five fields)),
+# past namedtuple's constructor; _case_of reads a (sort key, case) pair's
+_tuple_new = tuple.__new__
+_case_of = itemgetter(1)
 
 
 def _member(value, k: int, r: int, j: int) -> SquareMatrix:
@@ -221,12 +228,12 @@ def _case(checker: str, params: dict, lhs, rhs, corrected=None, status_if_equal=
     """Compare the cataloged sides; a failing case whose lhs matches the
     corrected side holds-corrected, any other is classified here, once."""
     if lhs == rhs:
-        return CheckCase(checker, params, status_if_equal)
+        return _tuple_new(CheckCase, (checker, params, status_if_equal, None, None))
     k, r = params["k"], params["r"]
     counterexample = {"params": dict(params), "lhs": _serialize(lhs, k, r), "rhs": _serialize(rhs, k, r)}
     if corrected is not None and lhs == corrected:
-        return CheckCase(checker, params, HOLDS_CORRECTED, counterexample)
-    return CheckCase(checker, params, FAILS, counterexample, expected_reason(checker, params))
+        return _tuple_new(CheckCase, (checker, params, HOLDS_CORRECTED, counterexample, None))
+    return _tuple_new(CheckCase, (checker, params, FAILS, counterexample, expected_reason(checker, params)))
 
 
 CHECKERS = {}
@@ -268,7 +275,7 @@ def _checker(order: int | None = None, min_r: int = 0, vectors: str | None = Non
                 cases = _lockstep(cases, shadow, vectors)
             for index, *sides in cases:
                 params = {"k": k, "r": r, **index}
-                yield _case(checker_id, params, *sides) if sides else CheckCase(checker_id, params, SKIPPED)
+                yield _case(checker_id, params, *sides) if sides else _case(checker_id, params, 0, 0, None, SKIPPED)
 
         @functools.wraps(cases_of)
         def check(p: CheckerParams) -> SuiteResult:
@@ -276,7 +283,7 @@ def _checker(order: int | None = None, min_r: int = 0, vectors: str | None = Non
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
                 raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
-            return SuiteResult(checker_id, p._asdict(), _in_report_order([(stream, [p])]))
+            return SuiteResult(checker_id, p._asdict(), map(_case_of, _in_report_order([(stream, [p])])))
 
         check.order = order
         check.min_r = min_r
@@ -771,7 +778,7 @@ def _chunks(value, newline: str, quote_ints: bool, top: bool):
 
 # the most shapes that each shape cache keeps: a report of the default or
 # the dense grid has 21 case shapes (_case_template), 16 of them without a
-# counterexample, and reads 4 shapes from _template and 12 from _sorted_names
+# counterexample, and reads 1 shape from _template and 11 from _sorted_names
 SHAPE_CACHE_SIZE = 128
 _SCALARS = frozenset({str, int, bool, float, type(None)})
 
@@ -852,30 +859,63 @@ def _sorted_names(names: tuple) -> tuple:
 
 
 # SuiteRun's report writes its cases itself, each at the nesting level of
-# the report's "cases" list: a case's closing brace follows _CASE
+# the report's "cases" list: a case's closing brace follows _CASE, and its
+# counterexample's keys follow _CX
 _CASE = "\n    "
+_CX = _CASE + "    "
 _CX_HEAD = "{" + _CASE + '  "counterexample": '
+_CX_KEYS = frozenset({"lhs", "params", "rhs"})
 _TABLE_KEYS = frozenset({"dim", "entries"})
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _case_template(checker: str, status: str, names: tuple, types: tuple, failing: bool):
-    """The %-format template of a report case of one shape, the keys of its
-    params in the order they fill it and the places of the values that are
-    not ints; None if a value's type is not an exact scalar type.  An int
-    fills a quoted slot; any other value, by _scalar_json, a bare one.  A
-    failing case's template starts after its counterexample."""
+def _case_template(checker: str, status: str, names: tuple, types: tuple | None, failing: bool):
+    """The %-format templates of a report case of one shape (params' sorted
+    names and their values' types, None for all ints): the case, a failing
+    one's after its counterexample, and the counterexample's params; None
+    for a type that is no exact scalar type.  An int fills a quoted slot;
+    any other value, by _scalar_json, a bare one."""
+    types = types or (int,) * len(names)
     if not _SCALARS.issuperset(types):
         return None
     inner, deeper = _CASE + "  ", _CASE + "    "
-    kinds = dict(zip(names, types))
-    keys = _sorted_names(names)
-    fields = [_quote(key).replace("%", "%%") + (': "%s"' if kinds[key] is int else ": %s") for key in keys]
-    params = "{" + deeper + ("," + deeper).join(fields) + inner + "}" if keys else "{}"
+    fields = [_quote(name).replace("%", "%%") + (': "%s"' if t is int else ": %s") for name, t in zip(names, types)]
+    params = "{" + deeper + ("," + deeper).join(fields) + inner + "}" if fields else "{}"
     checker, status = (_quote(text).replace("%", "%%") for text in (checker, status))
     tail = f',{inner}"id": {checker},{inner}"params": {params},{inner}"status": {status}{_CASE}}}'
-    others = tuple(i for i, key in enumerate(keys) if kinds[key] is not int)
-    return (tail if failing else _CX_HEAD + "null" + tail), keys, others
+    # the counterexample's params sit one level deeper; no quoted name holds a newline
+    return (tail if failing else _CX_HEAD + "null" + tail), params.replace("\n", "\n  ")
+
+
+def _counterexample(value, params: dict, params_text: str) -> list | None:
+    """The pieces of a counterexample of _case's shape, in one pass: its
+    params the case's own objects, written as params_text, and each side
+    decimal text or a table whose entries are a nonempty list of nonempty
+    lists or tuples of strings, each distinct row object written once by
+    _row (found by id) and spread back over the rows; else None."""
+    cx_params = value.get("params") if type(value) is dict and value.keys() == _CX_KEYS else None
+    if type(cx_params) is not dict or cx_params.keys() != params.keys():
+        return None
+    if not all(map(is_, map(cx_params.__getitem__, params), params.values())):
+        return None
+    inner, pieces = _CX + "  ", ["{" + _CX + '"lhs": ']
+    for side in value["lhs"], value["rhs"]:
+        if type(side) is str:
+            pieces.append(_quote(side))
+        elif type(side) is dict and side.keys() == _TABLE_KEYS and type(side["entries"]) is list and side["entries"]:
+            rows, dim = side["entries"], _scalar_json(side["dim"], True)
+            distinct = dict(zip(map(id, rows), rows))
+            texts = {i: type(row) in (list, tuple) and row and _row(row, inner + "  ") for i, row in distinct.items()}
+            if dim is None or not all(texts.values()):
+                return None
+            pieces.append("{" + inner + '"dim": ' + dim + "," + inner + '"entries": [' + inner + "  ")
+            pieces += chain.from_iterable(zip(map(texts.__getitem__, map(id, rows)), repeat("," + inner + "  ")))
+            pieces[-1] = inner + "]" + _CX + "}"
+        else:
+            return None
+        pieces.append(f',{_CX}"params": {params_text},{_CX}"rhs": ')
+    pieces[-1] = _CASE + "  }"
+    return pieces
 
 
 def _joined(value, newline: str, quote_ints: bool = True) -> str:
@@ -885,58 +925,38 @@ def _joined(value, newline: str, quote_ints: bool = True) -> str:
     return "".join(out)
 
 
-def _counterexample(value, out: list) -> None:
-    """Append a failing case's counterexample to out: a dict key by key, in
-    which a payload table {"dim", "entries"} writes each distinct row
-    object once, found by id, and spreads its text back over the rows; any
-    other value by _write."""
-    if type(value) is not dict or not value:
-        return _write(value, _CASE + "  ", True, out)
-    inner, deeper = _CASE + "    ", _CASE + "      "
-    row_newline = deeper + "  "
-    opening = "{" + inner
-    for key in _sorted_names(tuple(value)):
-        out.append(opening + _quote(key) + ": ")
-        part = value[key]
-        rows = part["entries"] if type(part) is dict and part.keys() == _TABLE_KEYS else None
-        if type(rows) is list and rows:
-            texts = {i: _joined(row, row_newline) for i, row in dict(zip(map(id, rows), rows)).items()}
-            out += ("{" + deeper + '"dim": ', _joined(part["dim"], deeper), "," + deeper + '"entries": [' + row_newline)
-            out += chain.from_iterable(zip(map(texts.__getitem__, map(id, rows)), repeat("," + row_newline)))
-            out[-1] = deeper + "]" + inner + "}"
-        else:
-            _write(part, inner, True, out)
-        opening = "," + inner
-    out.append(_CASE + "  }")
-
-
-def _case_text(case: CheckCase, opening: str) -> str:
+def _case_text(key: tuple, case: CheckCase, opening: str) -> str:
     """opening and the text of a report case, as json_chunks writes its
     dict in SuiteRun's "cases" list: its shape's template filled with one
-    %, after the counterexample's pieces for a failing case, and those
-    pieces joined once.  A case of any other shape goes through _write."""
+    %, after a failing case's counterexample, and the pieces joined once.
+    The params' values fill from the sort key when all are exact ints, else
+    from the params, the template typed by them.  A case of any other shape
+    goes through _write."""
     checker, params, status, counterexample = case[:4]
+    names, values, types = key[1::3], key[3::3], None
+    for value in values:
+        if type(value) is not int:
+            values = [*map(params.__getitem__, names)]
+            types = tuple(map(type, values))
+            break
     shape = None
     if type(params) is dict and type(checker) is str and type(status) is str:
-        types = tuple(map(type, params.values()))
-        shape = _case_template(checker, status, tuple(params), types, counterexample is not None)
+        shape = _case_template(checker, status, names, types, counterexample is not None)
     if shape is None:
         value = {"counterexample": counterexample, "id": checker, "params": params, "status": status}
         return opening + _joined(value, _CASE)
-    template, keys, others = shape
-    values = [*map(params.__getitem__, keys)]
-    for i in others:
-        values[i] = _scalar_json(values[i], True)
+    template, params_template = shape
+    if types:
+        values = tuple(v if type(v) is int else _scalar_json(v, True) for v in values)
     try:
-        text = template % tuple(values)
+        text = template % values
     except ValueError:  # an int past the interpreter's int-to-text digit limit
-        text = template % tuple(decimal_text(v) if type(v) is int else v for v in values)
+        values = tuple(decimal_text(v) if type(v) is int else v for v in values)
+        text = template % values
     if counterexample is None:
         return opening + text
-    out = [opening, _CX_HEAD]
-    _counterexample(counterexample, out)
-    out.append(text)
-    return "".join(out)
+    pieces = _counterexample(counterexample, params, params_template % values)
+    return "".join([opening, _CX_HEAD, *(pieces or [_joined(counterexample, _CASE + "  ")]), text])
 
 
 def _case_sort_key(c: CheckCase) -> tuple:
@@ -982,14 +1002,7 @@ def iter_suite(selection=None, grid: SuiteGrid | None = None):
     one before it, out of order or a duplicate, is a library defect and
     raises.
     """
-    grid = grid or SuiteGrid()
-    bounds = (grid.n_max, grid.m_max, grid.j_min, grid.j_max)
-    runs = []
-    for checker_id in sorted(resolve_selection(selection)):
-        checker = CHECKERS[checker_id]
-        params = [CheckerParams(k, r, *bounds) for k, r in _combos(checker, grid)]
-        runs.append((checker.stream, _views(checker, params)))
-    return _in_report_order(runs)
+    return map(_case_of, _run_fields(selection, grid)[2])
 
 
 def _keyed(cases, tiebreak: int):
@@ -999,8 +1012,8 @@ def _keyed(cases, tiebreak: int):
 
 
 def _in_report_order(runs):
-    """The cases of one suite run, which starts and ends with no member or
-    vector cached, so that no run reads the values of another."""
+    """The (sort key, case) pairs of one suite run, keyed from whatever the
+    streams yield; it starts and ends with no member or vector cached."""
     _members.cache_clear()
     _vectors.cache_clear()
     last = ()
@@ -1013,18 +1026,24 @@ def _in_report_order(runs):
                         "this is a library defect, not an identity failure"
                     )
                 last = key
-                yield case
+                yield key, case
     finally:
         _members.cache_clear()
         _vectors.cache_clear()
 
 
 def _run_fields(selection, grid: SuiteGrid | None):
-    """A run's suite name, grid, case stream and timestamp, checked before any case is made."""
+    """A run's suite name, grid, (sort key, case) pairs and timestamp, checked before any case is made."""
     grid = grid or SuiteGrid()
     ids = resolve_selection(selection)
+    bounds = (grid.n_max, grid.m_max, grid.j_min, grid.j_max)
+    runs = []
+    for checker_id in sorted(ids):
+        checker = CHECKERS[checker_id]
+        params = [CheckerParams(k, r, *bounds) for k, r in _combos(checker, grid)]
+        runs.append((checker.stream, _views(checker, params)))
     suite = "all" if len(ids) == len(CHECKER_IDS) else ",".join(ids) or "none"
-    return suite, grid._asdict(), iter_suite(ids, grid), time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    return suite, grid._asdict(), _in_report_order(runs), time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 class SuiteRun:
@@ -1033,22 +1052,23 @@ class SuiteRun:
     passes.  The report writes each case as it is made, the verdict last."""
 
     def __init__(self, selection=None, grid: SuiteGrid | None = None) -> None:
-        self.suite, self.grid, cases, self.generated_at = _run_fields(selection, grid)
-        self._cases = self._tally(cases)
+        self.suite, self.grid, pairs, self.generated_at = _run_fields(selection, grid)
+        self._pairs = self._tally(pairs)
 
-    def _tally(self, cases):
-        """cases, each counted into counts and unexpected as it is read."""
+    def _tally(self, pairs):
+        """pairs (sort key, case), each case tallied as it is read."""
         self.counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}
         self.unexpected = 0
-        return map(self._count, cases)
+        return map(self._count, pairs)
 
-    def _count(self, case: CheckCase) -> CheckCase:
+    def _count(self, pair: tuple) -> tuple:
+        case = pair[1]
         self.counts[case.status] += 1
         self.unexpected += case.unexpected
-        return case
+        return pair
 
     def __iter__(self):
-        return iter(self._cases)
+        return map(_case_of, self._pairs)
 
     @property
     def passed(self) -> bool:
@@ -1070,11 +1090,11 @@ class SuiteRun:
 
     def json_chunks(self, include_timestamp: bool = True):
         """The text of to_json in chunks: one per case, written straight
-        from the CheckCase (_case_text), then the report's other fields as
-        json_chunks writes them, the verdict once the cases are read."""
+        from the CheckCase and its key (_case_text), then the report's other
+        fields as json_chunks writes them, the verdict once they are read."""
         first = opening = '{\n  "cases": [' + _CASE
-        for case in self:
-            yield _case_text(case, opening)
+        for key, case in self._pairs:
+            yield _case_text(key, case, opening)
             opening = "," + _CASE
         fields = json_chunks(self._report(include_timestamp))
         # "cases" sorts first: the fields' own opening brace gives way to it
@@ -1085,6 +1105,7 @@ class SuiteRun:
         """The report as json.dumps(to_json_dict(...), indent=2,
         sort_keys=True) writes it, gathered in one buffer chunk by chunk,
         so that no chunk outlives its own write."""
+        # on the dense grid a bytearray peaks 4 MiB below "".join or io.StringIO, in the same time
         text = bytearray()
         for chunk in self.json_chunks(include_timestamp):
             text += chunk.encode()
@@ -1094,12 +1115,20 @@ class SuiteRun:
 class SuiteResult(SuiteRun):
     """A collected run: the cases of one checker run (suite is the checker
     id, grid its CheckerParams) or of a run_suite call, drained once
-    through the run's tally.  Equality compares suite, grid and cases;
-    a result is unhashable."""
+    through the run's tally.  It keeps no sort keys: its report makes
+    them as it writes.  Equality compares suite, grid and cases; a result
+    is unhashable."""
 
     def __init__(self, suite: str, grid: dict, cases, generated_at: str = "") -> None:
         self.suite, self.grid, self.generated_at = suite, grid, generated_at
-        self.cases = self._cases = tuple(self._tally(cases))
+        self.cases = tuple(map(_case_of, self._tally(zip(repeat(None), cases))))
+
+    @property
+    def _pairs(self):
+        return zip(map(_case_sort_key, self.cases), self.cases)
+
+    def __iter__(self):
+        return iter(self.cases)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -1123,4 +1152,5 @@ def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
     """Run the selected checkers over the grid and collect all cases.  The
     result passes when no case fails unexpectedly: holds, holds-corrected,
     skipped and documented expected failures all count as success."""
-    return SuiteResult(*_run_fields(selection, grid))
+    suite, grid, pairs, generated_at = _run_fields(selection, grid)
+    return SuiteResult(suite, grid, map(_case_of, pairs), generated_at)

@@ -9,7 +9,7 @@ the builders lay their members out by digit sum instead.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import chain, repeat
 from operator import add, mul, neg, sub
 
@@ -26,39 +26,45 @@ def _require_int(name: str, value, minimum: int | None) -> None:
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
-# products of dimension up to UNROLL_DIM run through _product_kernel(n).
-# On a 2-CPU machine (Python 3.11.7, timeit, best of 7) a product took
-# 3.5 -> 0.18 us at n = 2, 5.3 -> 0.41 at n = 3 and 8.3 -> 1.2 at n = 4,
-# for 0.06, 0.13 and 0.22 ms of compiling.  At n = 5, 6, 7 and 10 the
-# compile (0.39, 0.63, 0.83 and 2.3 ms) pays for itself only after 37, 46,
-# 46 and 66 products of that dimension; a default verify run makes 39 at
-# n = 5 and 52 at n = 7 against 4,148 at n <= 4, and whole cold runs of
-# both grids with the cap at 4, 7 and 10 differed by less than their noise
+# up to UNROLL_DIM, *, +, - and scale run compiled kernels.  On a 2-CPU
+# machine (Python 3.11.7, timeit, best of 7), at n = 2, 3 and 4, a product
+# took 3.5 -> 0.18, 5.3 -> 0.41 and 8.3 -> 1.2 us; a whole +, 0.75 -> 0.59,
+# 0.97 -> 0.72 and 1.23 -> 1.00 us; a whole scale, 1.08 -> 0.78, 1.27 ->
+# 0.94 and 1.66 -> 1.19 us; each for 0.03-0.22 ms of compiling.  At n = 5,
+# 6, 7 and 10 the product's compile (0.39, 0.63, 0.83 and 2.3 ms) pays only
+# after 37, 46, 46 and 66 products; a default verify run makes 39 at n = 5
+# and 52 at n = 7 against 4,148 at n <= 4, and whole cold runs of both
+# grids with the cap at 4, 7 and 10 differed by less than their noise
 UNROLL_DIM = 4
 
 
-@lru_cache(maxsize=None)
-def _product_kernel(n: int):
-    """The product of two flat row-major n-by-n tuples as one function:
-    it unpacks both into locals and returns the n*n entries, each a sum of
-    n products, as one tuple expression.  The source is made from integer
-    indices alone and compiled once per n, at the first product of that
-    dimension."""
-    a = ", ".join(f"a{i}" for i in range(n * n))
-    b = ", ".join(f"b{i}" for i in range(n * n))
-    entries = ", ".join(
-        " + ".join(f"a{i + l} * b{l * n + j}" for l in range(n)) for i in range(0, n * n, n) for j in range(n)
-    )
+def _compile(op: str, n: int):
+    """The kernel(a, b) of op on flat row-major n-by-n tuples: the product
+    for "*", the sum or difference for "+" and "-", the int a times b for
+    "c".  It unpacks the tuples into locals and returns the n*n entries as
+    one tuple expression, from source of integer indices and op alone."""
+    cells = range(n * n)
+    if op == "*":
+        entries = (" + ".join(f"a{i - i % n + l} * b{l * n + i % n}" for l in range(n)) for i in cells)
+    elif op == "c":
+        entries = (f"a * b{i}" for i in cells)
+    else:
+        entries = (f"a{i} {op} b{i}" for i in cells)
+    unpack = ("" if op == "c" else ", ".join(f"a{i}" for i in cells) + ", = a; ") + ", ".join(f"b{i}" for i in cells)
     namespace = {}
-    exec(f"def product(a, b):\n    {a}, = a\n    {b}, = b\n    return ({entries},)\n", namespace)
-    return namespace["product"]
+    exec(f"def kernel(a, b):\n    {unpack}, = b\n    return ({', '.join(entries)},)", namespace)
+    return namespace["kernel"]
+
+
+# each compiled once per n, at its first use of that dimension
+_product_kernel, _sum_kernel, _difference_kernel, _scale_kernel = (cache(partial(_compile, op)) for op in "*+-c")
 
 
 class SquareMatrix:
     """Immutable n-by-n integer matrix: n and the entries in one row-major
-    tuple, flat[i*n + j] at (i, j), so +, -, negation and scale are one map.
-    * runs a compiled kernel up to UNROLL_DIM and past it reads rows as
-    slices flat[i*n:(i+1)*n] and columns as flat[j::n].
+    tuple, flat[i*n + j] at (i, j).  Up to UNROLL_DIM, +, -, * and scale
+    run compiled kernels; past it +, -, scale and negation are one map, and
+    * reads rows as slices flat[i*n:(i+1)*n] and columns as flat[j::n].
 
     The constructor takes rows and checks every entry, so it is for input
     from outside the package; the package wraps its own results unchecked
@@ -131,9 +137,10 @@ class SquareMatrix:
         n = self._n
         if n != other._n:
             self._check_dim(other)
+        a, b = self._flat, other._flat
         m = _new(SquareMatrix)
         _set_n(m, n)
-        _set_flat(m, tuple(map(add, self._flat, other._flat)))
+        _set_flat(m, _sum_kernel(n)(a, b) if n <= UNROLL_DIM else tuple(map(add, a, b)))
         return m
 
     def __sub__(self, other):
@@ -142,9 +149,10 @@ class SquareMatrix:
         n = self._n
         if n != other._n:
             self._check_dim(other)
+        a, b = self._flat, other._flat
         m = _new(SquareMatrix)
         _set_n(m, n)
-        _set_flat(m, tuple(map(sub, self._flat, other._flat)))
+        _set_flat(m, _difference_kernel(n)(a, b) if n <= UNROLL_DIM else tuple(map(sub, a, b)))
         return m
 
     def __neg__(self):
@@ -154,7 +162,8 @@ class SquareMatrix:
         """Scalar multiple c * self."""
         if not _is_int(c):
             raise ValueError(f"scalar must be an integer, got {c!r}")
-        return SquareMatrix._of(tuple(map(mul, repeat(c), self._flat)), self._n)
+        n, flat = self._n, self._flat
+        return SquareMatrix._of(_scale_kernel(n)(c, flat) if n <= UNROLL_DIM else tuple(map(mul, repeat(c), flat)), n)
 
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):

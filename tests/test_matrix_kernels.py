@@ -1,9 +1,12 @@
-"""SquareMatrix products through the compiled kernels of dimension up to
-UNROLL_DIM, against a naive triple loop kept here, and the behaviour
-around them: one compile per dimension, none above the cap, and the
+"""SquareMatrix products, sums, differences and scalings through the
+compiled kernels of dimension up to UNROLL_DIM, against a naive triple
+loop and the entrywise map kept here, and the behaviour around them: one
+compile per operation and dimension, none above the cap, and the
 operators' errors and scale delegation."""
 
 from __future__ import annotations
+
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,24 @@ def test_products_and_powers_match_the_triple_loop(ab, e):
     assert a**e == naive_power(a, e)
 
 
+def mapped(op, a, b):
+    """The entrywise map of op over two flat tuples, as a matrix."""
+    return SquareMatrix._of(tuple(map(op, a, b)), round(len(a) ** 0.5))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs(), ENTRIES)
+def test_sums_differences_and_scalings_match_the_map(ab, c):
+    a, b = ab
+    n = a.dim
+    assert a + b == mapped(add, a._flat, b._flat)
+    assert a - b == mapped(sub, a._flat, b._flat)
+    assert b - a == mapped(sub, b._flat, a._flat)
+    for scaled in (a.scale(c), c * a, a * c):
+        assert scaled == mapped(mul, (c,) * n * n, a._flat)
+    assert (a + b).dim == (a - b).dim == a.scale(c).dim == n
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_non_commuting_pairs_keep_their_order(n):
     # an upper shift against a diagonal of distinct entries: the two
@@ -63,20 +84,30 @@ def test_non_commuting_pairs_keep_their_order(n):
         assert shift * diagonal != diagonal * shift
 
 
+KERNELS = (matrix._product_kernel, matrix._sum_kernel, matrix._difference_kernel, matrix._scale_kernel)
+
+
 def test_each_dimension_compiles_once_and_none_above_the_cap():
-    matrix._product_kernel.cache_clear()
+    # once per operation and dimension
+    for kernel in KERNELS:
+        kernel.cache_clear()
     try:
         for _ in range(3):
             for n in range(1, UNROLL_DIM + 1):
-                identity(n) * identity(n)
-        info = matrix._product_kernel.cache_info()
-        assert (info.misses, info.currsize) == (UNROLL_DIM, UNROLL_DIM)
+                m = identity(n)
+                m * m, m + m, m - m, 3 * m, m.scale(-2)
+        for kernel in KERNELS:
+            info = kernel.cache_info()
+            assert (info.misses, info.currsize) == (UNROLL_DIM, UNROLL_DIM)
         big = identity(UNROLL_DIM + 1)
         assert big * big == big
         assert big**5 == big
-        assert matrix._product_kernel.cache_info().misses == UNROLL_DIM
+        assert big + big == big.scale(2) == 2 * big
+        assert big - big == 0 * big
+        assert [kernel.cache_info().misses for kernel in KERNELS] == [UNROLL_DIM] * 4
     finally:
-        matrix._product_kernel.cache_clear()
+        for kernel in KERNELS:
+            kernel.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, UNROLL_DIM + 1))
@@ -89,6 +120,17 @@ def test_a_kernel_reads_no_global_and_no_constant(n):
     assert code.co_varnames == ("a", "b", *(f"a{i}" for i in range(n * n)), *(f"b{i}" for i in range(n * n)))
 
 
+@pytest.mark.parametrize("n", range(1, UNROLL_DIM + 1))
+@pytest.mark.parametrize("kernel", KERNELS[1:], ids=["sum", "difference", "scale"])
+def test_an_elementwise_kernel_reads_no_global_and_no_constant(kernel, n):
+    # as the product's; the scale kernel's a is the scalar itself
+    code = kernel(n).__code__
+    assert code.co_names == ()
+    assert set(code.co_consts) <= {None}
+    unpacked = () if kernel is matrix._scale_kernel else (f"a{i}" for i in range(n * n))
+    assert code.co_varnames == ("a", "b", *unpacked, *(f"b{i}" for i in range(n * n)))
+
+
 @pytest.mark.parametrize("n", [2, UNROLL_DIM + 1])
 def test_bools_and_floats_are_not_scalars(n):
     m = identity(n)
@@ -97,7 +139,7 @@ def test_bools_and_floats_are_not_scalars(n):
             bad()
 
 
-@pytest.mark.parametrize("n", [1, UNROLL_DIM, UNROLL_DIM + 1])
+@pytest.mark.parametrize("n", DIMS)
 def test_dimension_mismatch_message(n):
     a, b = identity(n), identity(n + 1)
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):

@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from kbonacci import identities
 from kbonacci import (
     BackwardBlock,
     BenchRow,
@@ -161,6 +162,38 @@ def test_check_case_unexpected():
     assert CheckCase("x", {}, "fails").unexpected
     assert not CheckCase("x", {}, "fails", reason="documented").unexpected
     assert not CheckCase("x", {}, "holds").unexpected
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ("geometric", {"k": 2, "r": 0, "n": 1}, "holds", None, None),
+        ("power_expansion", {"k": 2, "r": 0, "n": 2, "note": "requires 1 <= n <= k-1"}, "skipped", None, None),
+        ("sum_formula", {"k": 3, "r": 1, "n": 1}, "fails", {"lhs": "1", "params": {}, "rhs": "2"}, None),
+        ("sum_formula", {"k": 3, "r": 1, "n": 1}, "fails", {"lhs": "1", "params": {}, "rhs": "2"}, "documented"),
+        ("square_diff", {"k": 2, "r": 2, "n": 0}, "holds-corrected", {"lhs": "5", "params": {}, "rhs": "25"}, None),
+    ],
+)
+def test_a_case_built_past_the_constructor_is_the_constructed_case(fields):
+    # the suite builds its cases with tuple.__new__ on all five fields
+    fast, made = identities._tuple_new(CheckCase, fields), CheckCase(*fields)
+    assert type(fast) is CheckCase and fast == made
+    assert repr(fast) == repr(made)
+    assert fast.unexpected is made.unexpected
+    assert fast._asdict() == made._asdict()
+    for change in ({"status": "holds"}, {"reason": "why"}, {"counterexample": None}, {"params": {}}):
+        assert fast._replace(**change) == made._replace(**change)
+        assert repr(fast._replace(**change)) == repr(made._replace(**change))
+
+
+def test_the_suite_builds_its_cases_past_the_constructor():
+    # every case of a run, made by _case or skipped, equals the same fields
+    # through CheckCase(...)
+    cases = run_suite(["power_expansion", "square_diff", "sum_formula"]).cases
+    assert {c.status for c in cases} == {"holds", "fails", "holds-corrected", "skipped"}
+    for case in cases:
+        made = CheckCase(*case)
+        assert (case, repr(case), case.unexpected) == (made, repr(made), made.unexpected)
 
 
 def test_suite_result_construction_and_equality():

@@ -4,7 +4,9 @@ json_chunks is a plain JSON writer: a list or tuple of strings (a matrix
 row) is one join, and a dict of scalars is filled into one template per
 shape of keys.  SuiteRun writes its own cases, from one template per
 case shape (checker, status, param names and types, and whether there is
-a counterexample), and each distinct row object of a payload table once.
+a counterexample) filled from each case's sort key, and each distinct
+row object of a payload table once; a SuiteResult makes the keys as it
+writes, and a streamed run hands them on from its merge.
 All must give exactly what json.dumps writes, with ints quoted or not,
 on values that mix repeated rows, rows of mixed types, empty rows,
 case-shaped dicts of every near shape and generators of them, on reports
@@ -27,14 +29,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kbonacci import identities
 from kbonacci.builders import _digit_sums, build_higher
 from kbonacci.identities import (
+    CHECKERS,
     FAILS,
     HOLDS,
     HOLDS_CORRECTED,
     SKIPPED,
+    SuiteGrid,
     SuiteResult,
+    SuiteRun,
     _case,
+    _case_sort_key,
     _cut,
     _member,
     _serialize,
@@ -313,15 +320,37 @@ def test_payload_cells_past_leaf_digits_are_written_by_decimal_text():
 # status, with params of every shape the checkers use (note, reading,
 # part) and of values that would trip a template, and counterexamples of
 # decimal text, class tables whose rows of one digit sum are one list and
-# cut vectors with c != 0 on their diagonal.
+# cut vectors with c != 0 on their diagonal.  A case fills its template
+# from its sort key when every param is an exact int; bools, strings,
+# None and int subclasses are read from the params.  Counterexamples of
+# any other shape (params that are not the case's own objects, sides
+# that are no payload) take the generic writer.
+class Index(int):
+    """An int subclass with a text of its own, which jsonify writes below
+    10^600 (decimal_text's str) and not past it."""
+
+    def __str__(self):
+        return f"Index({int.__repr__(self)})"
+
+
 CASE_TEXT = BRACED | st.sampled_from(["%", "%s", "100%", "{}", '"', "\\", "é中", "requires 1 <= n <= k-1"])
-PARAM_VALUES = INTS | BIG | st.sampled_from([10**600, -(10**600)]) | st.booleans() | st.none() | CASE_TEXT
+PARAM_VALUES = (
+    INTS
+    | BIG
+    | st.sampled_from([10**600, -(10**600)])
+    | st.booleans()
+    | st.none()
+    | CASE_TEXT
+    | st.builds(Index, INTS | BIG | st.just(10**600))
+)
 PARAM_NAMES = st.sampled_from(["n", "j", "m", "s", "note", "reading", "part"]) | BRACED
+SIDES = PAYLOADS | INTS | st.none() | st.just("12") | st.sampled_from([{"dim": 1, "entries": []}, {"dim": None, "entries": [["1"]]}])
 
 
 @st.composite
 def report_cases(draw):
-    """A CheckCase made by _case, of a drawn status and kind of side."""
+    """A CheckCase made by _case, of a drawn status and kind of side, or
+    such a case with a counterexample of another shape."""
     status = draw(st.sampled_from([HOLDS, SKIPPED, FAILS, HOLDS_CORRECTED]))
     side = draw(st.sampled_from(["int", "table", "vector"]))
     k, r = (draw(st.integers(2, 4)), 0) if side == "int" else draw(st.sampled_from(LEVELS))
@@ -338,7 +367,39 @@ def report_cases(draw):
     rhs = lhs if status in (HOLDS, SKIPPED) else lhs + other
     checker = draw(CASE_TEXT | st.sampled_from(["geometric", "sum_formula", "lucas_pair"]))
     corrected = lhs if status == HOLDS_CORRECTED else None
-    return _case(checker, params, lhs, rhs, corrected, SKIPPED if status == SKIPPED else HOLDS)
+    case = _case(checker, params, lhs, rhs, corrected, SKIPPED if status == SKIPPED else HOLDS)
+    odd = draw(st.sampled_from([None, "params", "sides", "shape"]))
+    if odd is None:
+        return case
+    cx = case.counterexample or {"lhs": "1", "params": dict(params), "rhs": "2"}
+    if odd == "params":
+        name = draw(st.sampled_from(sorted(params)))
+        # an equal value of another type, another value, or one key less
+        value = params[name]
+        swap = (True if value == 1 else Index(value)) if type(value) is int else [value]
+        changed = {**params, name: draw(st.just(swap) | PARAM_VALUES)}
+        cx = {**cx, "params": draw(st.sampled_from([changed, {key: params[key] for key in params if key != name}]))}
+    elif odd == "sides":
+        cx = {**cx, draw(st.sampled_from(["lhs", "rhs"])): draw(SIDES)}
+    else:
+        cx = draw(st.sampled_from([{**cx, "extra": None}, {"lhs": cx["lhs"], "rhs": cx["rhs"]}, "1", [cx["lhs"]]]))
+    return case._replace(counterexample=cx)
+
+
+# one stream: fl_double at k = 2, r = 0 only
+ONE_STREAM = SuiteGrid(max_k=2, dim_cap=1, extra_fib_level=None)
+
+
+def streamed(cases):
+    """A SuiteRun whose one stream yields cases, one per sort key, in
+    report order, and those cases."""
+    keyed = {}
+    for case in cases:
+        keyed.setdefault(_case_sort_key(case), case)
+    ordered = [keyed[key] for key in sorted(keyed)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CHECKERS["fl_double"], "stream", lambda p: iter(ordered))
+        return SuiteRun(["fl_double"], ONE_STREAM), ordered
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,3 +411,41 @@ def test_the_case_writer_matches_json_dumps(cases, suite, grid, generated_at):
         expected = json.dumps(result.to_json_dict(include_timestamp), indent=2, sort_keys=True)
         assert result.to_json(include_timestamp) == expected
     assert len(list(result.json_chunks())) >= len(cases)
+    # the streamed report, each case written from the key the run made
+    for include_timestamp in (False, True):
+        run, ordered = streamed(cases)
+        text = run.to_json(include_timestamp)
+        result = SuiteResult(run.suite, run.grid, ordered, run.generated_at)
+        assert text == json.dumps(result.to_json_dict(include_timestamp), indent=2, sort_keys=True)
+        assert (run.counts, run.unexpected) == (result.counts, result.unexpected)
+
+
+def test_counterexamples_of_other_shapes_take_the_generic_writer(monkeypatch):
+    written = []
+    plain = identities._write
+
+    def spy(value, *args):
+        written.append(value)
+        return plain(value, *args)
+
+    monkeypatch.setattr(identities, "_write", spy)
+    table = _member(partial(term, 3), 3, 2, 4)
+    own = _case("sum_formula", {"k": 3, "r": 2, "n": 1}, table, 2 * table)
+    cx = own.counterexample
+    others = [
+        {**cx, "params": {**cx["params"], "n": True}},  # equal, but not the case's own objects
+        {**cx, "params": {"k": 3, "r": 2}},
+        {**cx, "lhs": 5},
+        {**cx, "rhs": {"dim": 9, "entries": []}},
+        {**cx, "rhs": {"dim": 9, "entries": [["1"], "ab"]}},
+        {**cx, "rhs": {"dim": 9, "entries": [["1"], ["2", 3]]}},
+        {**cx, "extra": None},
+        "text",
+    ]
+    for counterexample in (cx, *others):
+        case = own._replace(counterexample=counterexample)
+        for report in (SuiteResult("x", {}, [case]), streamed([case])[0]):
+            expected = SuiteResult(report.suite, report.grid, [case], report.generated_at).to_json_dict()
+            written.clear()
+            assert report.to_json() == json.dumps(expected, indent=2, sort_keys=True)
+            assert any(value is counterexample for value in written) is (counterexample is not cx)

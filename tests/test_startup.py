@@ -1,6 +1,6 @@
 """Start-up budget: importing the package and its CLI loads none of the
 stdlib modules that are costly to import and unneeded by most commands
-and compiles no product kernel, and the csv writer, imported only when a
+and compiles no matrix kernel, and the csv writer, imported only when a
 command writes csv, still writes the golden bytes in a fresh
 interpreter."""
 
@@ -39,17 +39,19 @@ def test_import_loads_none_of_the_unwanted_modules():
 
 
 def test_import_compiles_no_product_kernel():
-    # kernels compile at the first product of their dimension, inside the
-    # command that needs them
+    # nor any other kernel
+    # kernels compile at the first operation of their kind and dimension,
+    # inside the command that needs them
+    kernels = ("_product_kernel", "_sum_kernel", "_difference_kernel", "_scale_kernel")
     code = (
         "import sys\n"
         f"sys.path.insert(0, {SRC!r})\n"
         "import kbonacci, kbonacci.cli\n"
-        "print(kbonacci.matrix._product_kernel.cache_info().currsize)\n"
+        f"print([getattr(kbonacci.matrix, name).cache_info().currsize for name in {kernels!r}])\n"
     )
     proc = run_python("-S", "-c", code)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == b"0\n"
+    assert proc.stdout == b"[0, 0, 0, 0]\n"
 
 
 def test_csv_outputs_in_a_fresh_interpreter():
