@@ -177,20 +177,15 @@ def _hankel(side):
     return side
 
 
-def _classes(m: SquareMatrix, k: int, r: int):
-    """(ds, w) of the classes m is over: the digit sums of a scaled table
+def _entries(m: SquareMatrix, k: int, r: int, cell=int, row=tuple):
+    """Rows of the dense level-r matrix of order k that m stands for: m
+    unscaled and passed through cell once per pair of classes, then spread
+    by class, so that rows of one class are one tuple, or one list with
+    row=list.  The classes (ds, w) are the digit sums for a scaled table
     (dimension r(k-1)+1, below k^r for r >= 2), or single positions (w all
     1) for a dense matrix of dimension k^r."""
     n = m.dim
-    return (range(n), (1,) * n) if n == k**r else _digit_sums(k, r)
-
-
-def _entries(m: SquareMatrix, k: int, r: int, cell=int, row=tuple):
-    """Rows of the dense level-r matrix of order k that m stands for, a
-    scaled table or a dense matrix: m unscaled and passed through cell once
-    per pair of classes, then spread by class, so that rows of one class
-    are one tuple, or one list with row=list."""
-    ds, w = _classes(m, k, r)
+    ds, w = (range(n), (1,) * n) if n == k**r else _digit_sums(k, r)
     return _spread([list(map(cell, map(floordiv, row_, w))) for row_ in m.rows], ds, row)
 
 
@@ -718,9 +713,8 @@ def json_chunks(value, quote_ints: bool = True):
     A plain JSON writer: the top-level value, and a list, tuple or
     generator directly in it, are written one item per chunk; each item
     below is one chunk, joined once from its pieces (_write).  A row of
-    strings is one join, and a dict of scalars one %-format of the cached
-    template of its keys (_template).  A suite report's cases are written
-    by SuiteRun.json_chunks itself.
+    strings, as _row decides it, is one join.  A suite report's cases are
+    written by SuiteRun.json_chunks itself.
     """
     return _chunks(value, "\n", quote_ints, True)
 
@@ -778,30 +772,9 @@ def _chunks(value, newline: str, quote_ints: bool, top: bool):
 
 # the most shapes that each shape cache keeps: a report of the default or
 # the dense grid has 21 case shapes (_case_template), 16 of them without a
-# counterexample, and reads 1 shape from _template and 11 from _sorted_names
+# counterexample, and reads 11 shapes from _sorted_names
 SHAPE_CACHE_SIZE = 128
 _SCALARS = frozenset({str, int, bool, float, type(None)})
-
-
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _template(names: tuple, newline: str) -> tuple:
-    """The %-format template of a dict with keys names, and its keys in the
-    order they fill it."""
-    keys = _sorted_names(names)
-    if not keys:
-        return "{}", keys
-    inner = newline + "  "
-    body = ("," + inner).join(_quote(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + inner + body + newline + "}", keys
-
-
-def _filled(value: dict, newline: str, quote_ints: bool) -> str | None:
-    """_template's text of value, filled with the texts of its values;
-    None if one of them is not a str, int, bool, float or None."""
-    if not _SCALARS.issuperset(map(type, value.values())):
-        return None
-    template, keys = _template(tuple(value), newline)
-    return template % tuple(_scalar_json(value[key], quote_ints) for key in keys)
 
 
 # the characters of ASCII text that _quote escapes
@@ -810,7 +783,9 @@ _ESCAPED = bytes(range(32)) + b'"\\\x7f'
 
 def _row(row, newline: str) -> str | None:
     """The text of a nonempty list or tuple of strings from one join of
-    its items, or None if an item is not a string."""
+    its items; None for any other value."""
+    if type(row) not in (list, tuple) or not row or not isinstance(row[0], str):
+        return None
     inner = newline + "  "
     try:
         body = ('",' + inner + '"').join(row)
@@ -824,16 +799,10 @@ def _row(row, newline: str) -> str | None:
 
 def _write(value, newline: str, quote_ints: bool, out: list) -> None:
     """Append json_chunks' text of value, at the nesting level whose
-    closing bracket follows newline, to out: a scalar, a row of strings or
-    a dict of scalars as one string, any other value piece by piece, so
-    that no piece is copied before the chunk is joined."""
-    kind = type(value)
-    if kind is dict:
-        text = _filled(value, newline, quote_ints)
-    elif kind is list or kind is tuple:
-        text = _row(value, newline) if value and isinstance(value[0], str) else None
-    else:
-        text = _scalar_json(value, quote_ints)
+    closing bracket follows newline, to out: a row of strings or a scalar
+    as one string, any other value piece by piece, so that no piece is
+    copied before the chunk is joined."""
+    text = _row(value, newline) or _scalar_json(value, quote_ints)
     if text:
         out.append(text)
         return
@@ -905,7 +874,7 @@ def _counterexample(value, params: dict, params_text: str) -> list | None:
         elif type(side) is dict and side.keys() == _TABLE_KEYS and type(side["entries"]) is list and side["entries"]:
             rows, dim = side["entries"], _scalar_json(side["dim"], True)
             distinct = dict(zip(map(id, rows), rows))
-            texts = {i: type(row) in (list, tuple) and row and _row(row, inner + "  ") for i, row in distinct.items()}
+            texts = {i: _row(row, inner + "  ") for i, row in distinct.items()}
             if dim is None or not all(texts.values()):
                 return None
             pieces.append("{" + inner + '"dim": ' + dim + "," + inner + '"entries": [' + inner + "  ")
@@ -923,6 +892,11 @@ def _joined(value, newline: str, quote_ints: bool = True) -> str:
     out = []
     _write(value, newline, quote_ints, out)
     return "".join(out)
+
+
+def _case_dict(case: CheckCase) -> dict:
+    """The fields of a report case, as the report's "cases" list holds them."""
+    return {"id": case.checker, "params": case.params, "status": case.status, "counterexample": case.counterexample}
 
 
 def _case_text(key: tuple, case: CheckCase, opening: str) -> str:
@@ -943,8 +917,7 @@ def _case_text(key: tuple, case: CheckCase, opening: str) -> str:
     if type(params) is dict and type(checker) is str and type(status) is str:
         shape = _case_template(checker, status, names, types, counterexample is not None)
     if shape is None:
-        value = {"counterexample": counterexample, "id": checker, "params": params, "status": status}
-        return opening + _joined(value, _CASE)
+        return opening + _joined(_case_dict(case), _CASE)
     template, params_template = shape
     if types:
         values = tuple(v if type(v) is int else _scalar_json(v, True) for v in values)
@@ -1082,11 +1055,8 @@ class SuiteRun:
         return report
 
     def to_json_dict(self, include_timestamp: bool = True) -> dict:
-        cases = (
-            {"id": c.checker, "params": c.params, "status": c.status, "counterexample": c.counterexample} for c in self
-        )
         # jsonify reads the cases first, so the verdict is read after them
-        return jsonify({"cases": cases, **self._report(include_timestamp)})
+        return jsonify({"cases": (_case_dict(c) for c in self), **self._report(include_timestamp)})
 
     def json_chunks(self, include_timestamp: bool = True):
         """The text of to_json in chunks: one per case, written straight

@@ -9,7 +9,7 @@ the builders lay their members out by digit sum instead.
 from __future__ import annotations
 
 import re
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import chain, repeat
 from operator import add, mul, neg, sub
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbonacci.identities import SuiteGrid, json_chunks, jsonify, run_suite
+from kbonacci.identities import SuiteGrid, _row, json_chunks, jsonify, run_suite
 
 SIGN = st.sampled_from((1, -1))
 HUGE = st.builds(lambda sign, digits, low: sign * (10**digits + low), SIGN, st.integers(4300, 4400), st.integers(0, 10**9))
@@ -79,6 +79,14 @@ def test_generator_is_written_as_a_list():
     rows = [{"n": n, "values": ("1", "-2")} for n in range(3)]
     assert written({"rows": (row for row in rows)}) == written({"rows": rows})
     assert written({"rows": (row for row in ())}) == written({"rows": []})
+
+
+def test_a_row_of_strings_is_decided_by_row_alone():
+    """_row writes only a nonempty list or tuple of strings; the writer and
+    the counterexample writer take its None for anything else."""
+    for value in [], (), "ab", (1,), ["a", 1], {"a": "b"}, None:
+        assert _row(value, "\n") is None, value
+    assert _row(("a", "b"), "\n") == _row(["a", "b"], "\n") == '[\n  "a",\n  "b"\n]'
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", {"a": [1.5j]}, {1: "int key"}])

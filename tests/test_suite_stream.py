@@ -317,7 +317,7 @@ def test_the_shape_caches_stay_at_their_bound():
         params = {"k": 2, "r": 0, f"p{i}": i}
         "".join(json_chunks([{"counterexample": None, "id": "fl_double", "params": params, "status": "holds"}]))
         _case_sort_key(CheckCase("fl_double", params, "holds"))
-    for cache in (identities._template, identities._sorted_names):
+    for cache in (identities._sorted_names,):
         info = cache.cache_info()
         assert info.maxsize == info.currsize == SHAPE_CACHE_SIZE
 
