@@ -32,8 +32,8 @@ from .matrix import SquareMatrix, _require_int
 from .sequences import _times_x, _validate_order, lucas_term, term, x_power_mod
 
 
-# members kept per builder; a suite run builds most of its members through
-# identities._members, and only 104 (default grid) or 135 (dense grid) with build_higher
+# members, or companion matrices, kept per builder; a suite run builds most members
+# through identities._members, and only 104 (default grid) or 135 (dense) with build_higher
 CACHE_SIZE = 1024
 
 
@@ -103,7 +103,7 @@ def build_lucas(r: int, j: int) -> SquareMatrix:
     return _layout(lucas_term, 2, r, j)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_q(k: int, r: int) -> SquareMatrix:
     """Level-r companion matrix: identity blocks of dimension k^(r-1) down
     the first block column and on the first block superdiagonal, zero

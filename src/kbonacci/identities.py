@@ -23,7 +23,8 @@ every member is a power of the companion matrix Q, so there each
 checker's generator also runs on plain powers of Q, an independent second
 oracle; a disagreement there is a library defect and raises instead of
 reporting.  The driver makes each case's sort key once, as it merges the
-streams in report order, and SuiteRun writes the case from that key.
+streams in report order, and hands out the bare case; SuiteRun writes each
+case from the case alone.
 """
 
 from __future__ import annotations
@@ -104,9 +105,8 @@ class CheckCase(namedtuple("CheckCase", "checker params status counterexample re
 
 
 # the suite builds CheckCases as _tuple_new(CheckCase, (all five fields)),
-# past namedtuple's constructor; _case_of reads a (sort key, case) pair's
+# past namedtuple's constructor
 _tuple_new = tuple.__new__
-_case_of = itemgetter(1)
 
 
 def _member(value, k: int, r: int, j: int) -> SquareMatrix:
@@ -278,7 +278,7 @@ def _checker(order: int | None = None, min_r: int = 0, vectors: str | None = Non
                 raise ValueError(f"{checker_id} is defined for order {order} only, got k={p.k}")
             if p.r < min_r:
                 raise ValueError(f"{checker_id} has no scalar form; use r >= {min_r}")
-            return SuiteResult(checker_id, p._asdict(), map(_case_of, _in_report_order([(stream, [p])])))
+            return SuiteResult(checker_id, p._asdict(), _in_report_order([(stream, [p])]))
 
         check.order = order
         check.min_r = min_r
@@ -838,22 +838,26 @@ _TABLE_KEYS = frozenset({"dim", "entries"})
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _case_template(checker: str, status: str, names: tuple, types: tuple | None, failing: bool):
-    """The %-format templates of a report case of one shape (params' sorted
-    names and their values' types, None for all ints): the case, a failing
-    one's after its counterexample, and the counterexample's params; None
-    for a type that is no exact scalar type.  An int fills a quoted slot;
-    any other value, by _scalar_json, a bare one."""
-    types = types or (int,) * len(names)
-    if not _SCALARS.issuperset(types):
+def _case_template(checker: str, status: str, keys: tuple, types: tuple | None, failing: bool):
+    """The %-format templates of a report case of one shape (its params'
+    names in their own order and their values' types, None for all ints):
+    the case, a failing one's after its counterexample, and the
+    counterexample's params; then the getter of a params dict's values in
+    sorted name order.  None for a type that is no exact scalar type.  An
+    int fills a quoted slot; any other value, by _scalar_json, a bare one."""
+    typed = dict(zip(keys, types or repeat(int)))
+    if not _SCALARS.issuperset(typed.values()):
         return None
+    names = _sorted_names(keys)
+    # itemgetter returns one name's value bare, and takes no empty list of names
+    values_of = itemgetter(*names) if len(names) > 1 else lambda params: tuple(map(params.__getitem__, names))
     inner, deeper = _CASE + "  ", _CASE + "    "
-    fields = [_quote(name).replace("%", "%%") + (': "%s"' if t is int else ": %s") for name, t in zip(names, types)]
+    fields = [_quote(name).replace("%", "%%") + (': "%s"' if typed[name] is int else ": %s") for name in names]
     params = "{" + deeper + ("," + deeper).join(fields) + inner + "}" if fields else "{}"
     checker, status = (_quote(text).replace("%", "%%") for text in (checker, status))
     tail = f',{inner}"id": {checker},{inner}"params": {params},{inner}"status": {status}{_CASE}}}'
     # the counterexample's params sit one level deeper; no quoted name holds a newline
-    return (tail if failing else _CX_HEAD + "null" + tail), params.replace("\n", "\n  ")
+    return (tail if failing else _CX_HEAD + "null" + tail), params.replace("\n", "\n  "), values_of
 
 
 def _counterexample(value, params: dict, params_text: str) -> list | None:
@@ -899,26 +903,26 @@ def _case_dict(case: CheckCase) -> dict:
     return {"id": case.checker, "params": case.params, "status": case.status, "counterexample": case.counterexample}
 
 
-def _case_text(key: tuple, case: CheckCase, opening: str) -> str:
+def _case_text(case: CheckCase, opening: str) -> str:
     """opening and the text of a report case, as json_chunks writes its
     dict in SuiteRun's "cases" list: its shape's template filled with one
     %, after a failing case's counterexample, and the pieces joined once.
-    The params' values fill from the sort key when all are exact ints, else
-    from the params, the template typed by them.  A case of any other shape
+    The template is typed by the params' values, None when all are exact
+    ints, and reads them in sorted name order.  A case of any other shape
     goes through _write."""
     checker, params, status, counterexample = case[:4]
-    names, values, types = key[1::3], key[3::3], None
-    for value in values:
-        if type(value) is not int:
-            values = [*map(params.__getitem__, names)]
-            types = tuple(map(type, values))
-            break
     shape = None
     if type(params) is dict and type(checker) is str and type(status) is str:
-        shape = _case_template(checker, status, names, types, counterexample is not None)
+        types = None
+        for value in params.values():
+            if type(value) is not int:
+                types = tuple(map(type, params.values()))
+                break
+        shape = _case_template(checker, status, tuple(params), types, counterexample is not None)
     if shape is None:
         return opening + _joined(_case_dict(case), _CASE)
-    template, params_template = shape
+    template, params_template, values_of = shape
+    values = values_of(params)
     if types:
         values = tuple(v if type(v) is int else _scalar_json(v, True) for v in values)
     try:
@@ -975,7 +979,7 @@ def iter_suite(selection=None, grid: SuiteGrid | None = None):
     one before it, out of order or a duplicate, is a library defect and
     raises.
     """
-    return map(_case_of, _run_fields(selection, grid)[2])
+    return _run_fields(selection, grid)[2]
 
 
 def _keyed(cases, tiebreak: int):
@@ -985,8 +989,9 @@ def _keyed(cases, tiebreak: int):
 
 
 def _in_report_order(runs):
-    """The (sort key, case) pairs of one suite run, keyed from whatever the
-    streams yield; it starts and ends with no member or vector cached."""
+    """The cases of one suite run, merged by the sort keys of whatever the
+    streams yield; no key leaves here.  It starts and ends with no member or
+    vector cached."""
     _members.cache_clear()
     _vectors.cache_clear()
     last = ()
@@ -999,14 +1004,14 @@ def _in_report_order(runs):
                         "this is a library defect, not an identity failure"
                     )
                 last = key
-                yield key, case
+                yield case
     finally:
         _members.cache_clear()
         _vectors.cache_clear()
 
 
 def _run_fields(selection, grid: SuiteGrid | None):
-    """A run's suite name, grid, (sort key, case) pairs and timestamp, checked before any case is made."""
+    """A run's suite name, grid, cases and timestamp, checked before any case is made."""
     grid = grid or SuiteGrid()
     ids = resolve_selection(selection)
     bounds = (grid.n_max, grid.m_max, grid.j_min, grid.j_max)
@@ -1025,23 +1030,22 @@ class SuiteRun:
     passes.  The report writes each case as it is made, the verdict last."""
 
     def __init__(self, selection=None, grid: SuiteGrid | None = None) -> None:
-        self.suite, self.grid, pairs, self.generated_at = _run_fields(selection, grid)
-        self._pairs = self._tally(pairs)
+        self.suite, self.grid, cases, self.generated_at = _run_fields(selection, grid)
+        self._cases = self._tally(cases)
 
-    def _tally(self, pairs):
-        """pairs (sort key, case), each case tallied as it is read."""
+    def _tally(self, cases):
+        """cases, each tallied as it is read."""
         self.counts = {HOLDS: 0, FAILS: 0, HOLDS_CORRECTED: 0, SKIPPED: 0}
         self.unexpected = 0
-        return map(self._count, pairs)
+        return map(self._count, cases)
 
-    def _count(self, pair: tuple) -> tuple:
-        case = pair[1]
+    def _count(self, case: CheckCase) -> CheckCase:
         self.counts[case.status] += 1
         self.unexpected += case.unexpected
-        return pair
+        return case
 
     def __iter__(self):
-        return map(_case_of, self._pairs)
+        return iter(self._cases)
 
     @property
     def passed(self) -> bool:
@@ -1060,11 +1064,11 @@ class SuiteRun:
 
     def json_chunks(self, include_timestamp: bool = True):
         """The text of to_json in chunks: one per case, written straight
-        from the CheckCase and its key (_case_text), then the report's other
-        fields as json_chunks writes them, the verdict once they are read."""
+        from the CheckCase (_case_text), then the report's other fields as
+        json_chunks writes them, the verdict once they are read."""
         first = opening = '{\n  "cases": [' + _CASE
-        for key, case in self._pairs:
-            yield _case_text(key, case, opening)
+        for case in self._cases:
+            yield _case_text(case, opening)
             opening = "," + _CASE
         fields = json_chunks(self._report(include_timestamp))
         # "cases" sorts first: the fields' own opening brace gives way to it
@@ -1085,20 +1089,12 @@ class SuiteRun:
 class SuiteResult(SuiteRun):
     """A collected run: the cases of one checker run (suite is the checker
     id, grid its CheckerParams) or of a run_suite call, drained once
-    through the run's tally.  It keeps no sort keys: its report makes
-    them as it writes.  Equality compares suite, grid and cases; a result
-    is unhashable."""
+    through the run's tally.  Equality compares suite, grid and cases; a
+    result is unhashable."""
 
     def __init__(self, suite: str, grid: dict, cases, generated_at: str = "") -> None:
         self.suite, self.grid, self.generated_at = suite, grid, generated_at
-        self.cases = tuple(map(_case_of, self._tally(zip(repeat(None), cases))))
-
-    @property
-    def _pairs(self):
-        return zip(map(_case_sort_key, self.cases), self.cases)
-
-    def __iter__(self):
-        return iter(self.cases)
+        self.cases = self._cases = tuple(self._tally(cases))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -1122,5 +1118,4 @@ def run_suite(selection=None, grid: SuiteGrid | None = None) -> SuiteResult:
     """Run the selected checkers over the grid and collect all cases.  The
     result passes when no case fails unexpectedly: holds, holds-corrected,
     skipped and documented expected failures all count as success."""
-    suite, grid, pairs, generated_at = _run_fields(selection, grid)
-    return SuiteResult(suite, grid, map(_case_of, pairs), generated_at)
+    return SuiteResult(*_run_fields(selection, grid))

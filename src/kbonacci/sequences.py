@@ -300,24 +300,23 @@ def _shared(k: int) -> KbonacciSequence:
     return KbonacciSequence(k)
 
 
-def term(k: int, j: int) -> int:
-    """j-th term of the order-k sequence, any integer j."""
+def _sequence(k) -> KbonacciSequence:
+    """The shared sequence of order k."""
     try:
-        seq = _shared(k)
+        return _shared(k)
     except TypeError:  # an unhashable order fails in the cache, before KbonacciSequence checks it
         _validate_order(k)
         raise
-    return seq.term(j)
+
+
+def term(k: int, j: int) -> int:
+    """j-th term of the order-k sequence, any integer j."""
+    return _sequence(k).term(j)
 
 
 def term_range(k: int, j_lo: int, j_hi: int) -> list[int]:
     """Terms j_lo..j_hi inclusive, in index order."""
-    try:
-        seq = _shared(k)
-    except TypeError:  # as in term
-        _validate_order(k)
-        raise
-    return seq.term_range(j_lo, j_hi)
+    return _sequence(k).term_range(j_lo, j_hi)
 
 
 def lucas_term(j: int) -> int:

@@ -304,6 +304,12 @@ def test_builder_cache_is_bounded(builder, args):
     assert builder.cache_info().currsize <= CACHE_SIZE
 
 
+def test_companion_cache_is_bounded():
+    # a companion matrix has k^(2r) entries, so reaching the bound would
+    # allocate the memory the bound exists to cap; the bound is read instead
+    assert build_q.cache_info().maxsize == CACHE_SIZE
+
+
 def test_fast_term_steps_by_x_at_most_once(monkeypatch):
     times_x, calls = builders._times_x, []
 

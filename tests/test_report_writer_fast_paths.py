@@ -1,12 +1,12 @@
 """Tests for the report writers' fast paths and the payload rows they read.
 
-json_chunks is a plain JSON writer: a list or tuple of strings (a matrix
-row) is one join, and a dict of scalars is filled into one template per
-shape of keys.  SuiteRun writes its own cases, from one template per
-case shape (checker, status, param names and types, and whether there is
-a counterexample) filled from each case's sort key, and each distinct
-row object of a payload table once; a SuiteResult makes the keys as it
-writes, and a streamed run hands them on from its merge.
+json_chunks is a plain JSON writer: a nonempty list or tuple of strings
+(a matrix row) is one join, and every other list, tuple or dict is
+written item by item.  SuiteRun writes its own cases, from one template
+per case shape (checker, status, param names and types, and whether
+there is a counterexample) filled from each case's params, and each
+distinct row object of a payload table once; a streamed run and a
+collected SuiteResult write a case the same way, from the case alone.
 All must give exactly what json.dumps writes, with ints quoted or not,
 on values that mix repeated rows, rows of mixed types, empty rows,
 case-shaped dicts of every near shape and generators of them, on reports
@@ -321,8 +321,8 @@ def test_payload_cells_past_leaf_digits_are_written_by_decimal_text():
 # part) and of values that would trip a template, and counterexamples of
 # decimal text, class tables whose rows of one digit sum are one list and
 # cut vectors with c != 0 on their diagonal.  A case fills its template
-# from its sort key when every param is an exact int; bools, strings,
-# None and int subclasses are read from the params.  Counterexamples of
+# from its params, typed once for all exact ints; bools, strings, None
+# and int subclasses type it by each value.  Counterexamples of
 # any other shape (params that are not the case's own objects, sides
 # that are no payload) take the generic writer.
 class Index(int):

@@ -338,6 +338,29 @@ def test_a_drained_run_and_run_suite_give_one_report():
     assert text == "".join(result.json_chunks(include_timestamp=False)) == result.to_json(include_timestamp=False)
 
 
+def test_each_case_is_keyed_once_and_a_collected_result_writes_with_no_key(monkeypatch):
+    keyed, key = [], identities._case_sort_key
+
+    def counting(case):
+        keyed.append(case)
+        return key(case)
+
+    monkeypatch.setattr(identities, "_case_sort_key", counting)
+    run = identities.SuiteRun()
+    for _ in run.json_chunks(include_timestamp=False):
+        pass
+    # keyed holds every case, so no two of them share an id
+    assert len(keyed) == len(set(map(id, keyed))) == sum(run.counts.values()) > 0
+    keyed.clear()
+    result = run_suite()
+    text = result.to_json(include_timestamp=False)
+    assert sorted(map(id, keyed)) == sorted(map(id, result.cases))
+    keyed.clear()
+    assert result.to_json(include_timestamp=False) == text
+    assert "".join(result.json_chunks(include_timestamp=False)) == text
+    assert keyed == []
+
+
 def test_a_failure_with_no_documented_reason_fails_both_reports(monkeypatch):
     documented = identities.expected_reason
 
