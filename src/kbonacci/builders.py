@@ -14,9 +14,10 @@ k^(r-1), and is filled from that product entry by entry.  fast_f
 powers the k-by-k companion matrix, lifts the result blockwise and
 serves as the oracle for the matrix laws.  fast_term evaluates single
 terms from x^j mod P_k(x) instead: k(k+1)/2 big-integer squarings per
-bit of j, the last bit's replaced by about k/2 products (the seeds'
-zeros empty half of the last level's Hankel form), against
-O(k^3 log j) products for the companion power.
+bit of j (two at k = 2, by Cassini's identity), the last bit's replaced
+by about k/2 products (the seeds' zeros empty half of the last level's
+Hankel form; one product at k = 2), against O(k^3 log j) products for
+the companion power.
 
 Every matrix built here is wrapped unchecked (SquareMatrix._of): its
 entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
@@ -158,9 +159,11 @@ def fast_term(k: int, j: int) -> int:
     e <= i < a and of c_i x^i over i >= a.  A step by x adds the top to
     every coefficient, so top(x^t w) is w_(k-1-t) plus the tops before
     it, one running sum.  The last level costs k - a products, plus
-    c_0^2 at odd j, where a last squaring would cost k(k+1)/2 squarings;
-    at k = 2 that is F(m)(2F(m-1) + F(m)) for even j and
-    F(m-1)^2 + F(m)^2, two squarings, for odd j.
+    c_0^2 at odd j, where a last squaring would cost k(k+1)/2 squarings.
+    At k = 2 that is one product at either parity: F(m)(2F(m-1) + F(m))
+    for even j, and for odd j, where the form is F(m-1)^2 + F(m)^2,
+    Cassini's identity F(m-1)F(m+1) - F(m)^2 = (-1)^m turns the two
+    squarings into F(m)(2F(m) - F(m-1)) + (-1)^m.
 
     Always takes the polynomial path, never the term window, so it stays
     an independent check on term() at every index.
@@ -171,6 +174,8 @@ def fast_term(k: int, j: int) -> int:
     c = x_power_mod(k, j >> 1)
     if e:
         c = _times_x(c)
+        if k == 2:
+            return c[1] * (2 * c[1] - c[0]) + (-1 if (j + 1) & 2 else 1)  # (-1)^m, m = (j + 1) / 2
     a = (k + e) // 2
     total = c[0] * c[0] if e else 0
     before = 0

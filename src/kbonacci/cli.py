@@ -42,7 +42,9 @@ TERM_CAP = 5 * ORDER_CAP
 
 # largest cost estimate min(k, |j|)^2 * |j|^1.585 that `term --method qpow`
 # takes: x^j mod P_k costs about k^2/2 Karatsuba squarings of ints of up to
-# |j| bits per bit of j, fewer while j < k leaves the coefficients sparse.
+# |j| bits per bit of j, fewer while j < k leaves the coefficients sparse
+# (two at k = 2, where the estimate overstates by 3/2; it is kept, as at
+# k = 2 TERM_CAP refuses every j before this cap would).
 # On a 2-CPU machine (Python 3.11.7) that read 0.7 to 3.7 s per 10^12:
 # `--k 1000 --j 50000` (2.8*10^13) took 45 s; `--k 5 --j 10000000`
 # (3.1*10^12) and `--k 12 --j 4000000` (4.2*10^12), inside the cap, about 9 s

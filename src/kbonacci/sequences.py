@@ -52,7 +52,11 @@ def _step_limit(k: int, j: int) -> int:
     a step.  Measured with squarings at k = 2..100, the engine's
     break-even lies 0.9x to 22x this count (further as |j| grows; 0.9x
     only just past the cap, as with general products), so a step taken
-    under it loses little at worst.
+    under it loses little at worst.  At k = 2 the engine takes two
+    squarings per bit (_cassini_square), not three, so the count
+    overstates its cost by 3/2.  It is kept: measured at k = 2, the
+    break-even still lies 0.9x (|j| = 5000) to 6.5x (|j| = 10^6) this
+    count.
     """
     return k * (k + 1) // 2 * abs(j).bit_length()
 
@@ -92,6 +96,19 @@ def _square_mod(c: list[int]) -> list[int]:
     return p[:k]
 
 
+def _cassini_square(c: list[int], odd: bool) -> list[int]:
+    """x^(2e) mod P_2 from c = x^e mod P_2 = (F(e-1), F(e)), odd telling
+    whether e is.
+
+    Cassini's identity F(e-1) F(e+1) - F(e)^2 = (-1)^e gives the cross
+    term from the two squares, c_0 c_1 = c_1^2 - c_0^2 + (-1)^e, so a
+    doubling costs two squarings where _square_mod takes three.  It holds
+    for powers of x only, not for an arbitrary vector.
+    """
+    a, b = c[0] * c[0], c[1] * c[1]
+    return [a + b, 3 * b - 2 * a + (-2 if odd else 2)]
+
+
 def _times_x(c: list[int]) -> list[int]:
     """x * c(x) mod P_k: x^k = x^(k-1) + ... + 1."""
     top = c[-1]
@@ -112,15 +129,19 @@ def x_power_mod(k: int, j: int) -> list[int]:
     k-bonacci seeds that is c_(k-1).  x is invertible mod P_k because
     P_k(0) = -1, so negative j powers 1/x.  Left-to-right binary powering:
     one polynomial squaring per bit of |j| and, per set bit, a step by x
-    or 1/x that costs k additions.
+    or 1/x that costs k additions.  At k = 2 the squaring is
+    _cassini_square, two big-integer squarings instead of three; it needs
+    only the parity of the exponent so far, which a squaring makes even
+    and a step by x or 1/x makes odd.
     """
     _validate_order(k)
     _require_int("index", j, None)
     step = _times_x if j >= 0 else _over_x
-    c = [1] + [0] * (k - 1)
+    c, odd = [1] + [0] * (k - 1), False
     for bit in bin(abs(j))[2:]:
-        c = _square_mod(c)
-        if bit == "1":
+        c = _square_mod(c) if k > 2 else _cassini_square(c, odd)
+        odd = bit == "1"
+        if odd:
             c = step(c)
     return c
 

@@ -226,13 +226,18 @@ def test_fast_term_matches_the_plain_recurrence(k, j):
 
 
 def test_fast_term_stops_one_squaring_early(monkeypatch):
-    square_mod, squarings = sequences._square_mod, []
+    squarings = []
 
-    def counting(c):
-        squarings.append(len(c))
-        return square_mod(c)
+    def counting(square):
+        def counted(c, *parity):
+            squarings.append(len(c))
+            return square(c, *parity)
 
-    monkeypatch.setattr(sequences, "_square_mod", counting)
+        return counted
+
+    # the generic squaring, and the doubling that takes its place at k = 2
+    for name in ("_square_mod", "_cassini_square"):
+        monkeypatch.setattr(sequences, name, counting(getattr(sequences, name)))
 
     def count(f, k, j):
         squarings.clear()
@@ -242,6 +247,14 @@ def test_fast_term_stops_one_squaring_early(monkeypatch):
     for k in range(2, 9):
         for j in [*range(2, 70), 4095, 4096, 10**5 + 1]:
             assert count(fast_term, k, j) == count(x_power_mod, k, j) - 1, (k, j)
+
+
+@pytest.mark.parametrize("residue", [1, 3])
+def test_fast_term_odd_order_2_last_level(residue):
+    # j = 1 and 3 (mod 4) give m = (j + 1) / 2 of either parity, so both
+    # signs of Cassini's (-1)^m, on both sides of the window cap
+    for j in [*range(residue, 400, 4), *(WINDOW_CAP + residue + d for d in (-8, -4, 0, 4)), 20_000 + residue]:
+        assert fast_term(2, j) == iterative_term(2, j), j
 
 
 def test_fast_term_uses_neither_window_nor_matrix_products(monkeypatch):

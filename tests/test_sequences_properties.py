@@ -5,19 +5,30 @@ Random indices with WINDOW_CAP < |j| <= 10^5 on both sides of zero, at
 orders 2..8: the forward recurrence, the backward recurrence and the
 double-shift law must hold whichever path served each term.  Random
 coefficient vectors: _square_mod must agree with a plain convolution
-reduced by P_k.  Random walks of reads on one sequence object must match
-the dict-based oracle of test_sequences and leave every frame in bounds.
+reduced by P_k.  At order 2, x_power_mod's doubling by Cassini's identity
+must agree with powering by _square_mod and with the window's terms.
+Random walks of reads on one sequence object must match the dict-based
+oracle of test_sequences and leave every frame in bounds.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sequences import oracle_values
 
-from kbonacci.sequences import FRAME_TERMS, WINDOW_CAP, KbonacciSequence, _square_mod, term
+from kbonacci.sequences import (
+    FRAME_TERMS,
+    WINDOW_CAP,
+    KbonacciSequence,
+    _over_x,
+    _square_mod,
+    _times_x,
+    term,
+    x_power_mod,
+)
 
 FAR = st.integers(WINDOW_CAP + 9, 10**5)
 SIGN = st.sampled_from((1, -1))
@@ -68,6 +79,33 @@ COEFFICIENT = st.one_of(st.just(0), st.integers(-(2**3000), 2**3000), st.integer
 @given(c=st.integers(2, 8).flatmap(lambda k: st.lists(COEFFICIENT, min_size=k, max_size=k)))
 def test_square_mod_matches_convolution_and_reduction(c):
     assert _square_mod(c) == square_then_reduce(c)
+
+
+def generic_power(k: int, j: int) -> list[int]:
+    """x^j mod P_k by left-to-right binary powering on _square_mod at
+    every order, so with no order-2 doubling."""
+    step = _times_x if j >= 0 else _over_x
+    c = [1] + [0] * (k - 1)
+    for bit in bin(abs(j))[2:]:
+        c = _square_mod(c)
+        if bit == "1":
+            c = step(c)
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(j=st.integers(-20_000, 20_000))
+@example(j=10**5 + 1)
+@example(j=-(10**5 + 1))
+def test_order_2_doubling_matches_generic_squaring(j):
+    assert x_power_mod(2, j) == generic_power(2, j)
+
+
+def test_order_2_power_is_a_pair_of_window_terms():
+    # x^j = F(j) x + F(j-1) mod P_2, read here from the window, which
+    # steps by the double-shift law and never powers
+    for j in range(1 - WINDOW_CAP, WINDOW_CAP + 1):
+        assert x_power_mod(2, j) == [term(2, j - 1), term(2, j)], j
 
 
 def _reach(k: int) -> tuple[int, int]:
