@@ -14,10 +14,11 @@ k^(r-1), and is filled from that product entry by entry.  fast_f
 powers the k-by-k companion matrix, lifts the result blockwise and
 serves as the oracle for the matrix laws.  fast_term evaluates single
 terms from x^j mod P_k(x) instead: k(k+1)/2 big-integer squarings per
-bit of j (two at k = 2, by Cassini's identity), the last bit's replaced
-by about k/2 products (the seeds' zeros empty half of the last level's
-Hankel form; one product at k = 2), against O(k^3 log j) products for
-the companion power.
+bit of j, 2k - 1 once the coefficients pass sequences.TOOM_BITS (two at
+k = 2, by Cassini's identity), the last bit's replaced by about k/2
+products (the seeds' zeros empty half of the last level's Hankel form;
+one product at k = 2), against O(k^3 log j) products for the companion
+power.
 
 Every matrix built here is wrapped unchecked (SquareMatrix._of): its
 entries are sequence terms, 0 or 1, and its shape is fixed by k and r.
@@ -30,7 +31,7 @@ from itertools import chain
 from operator import mul
 
 from .matrix import SquareMatrix, _require_int
-from .sequences import _times_x, _validate_order, lucas_term, term, x_power_mod
+from .sequences import TOOM3_BITS, _mul, _times_x, _validate_order, lucas_term, term, x_power_mod
 
 
 # members, or companion matrices, kept per builder; a suite run builds most members
@@ -159,7 +160,9 @@ def fast_term(k: int, j: int) -> int:
     e <= i < a and of c_i x^i over i >= a.  A step by x adds the top to
     every coefficient, so top(x^t w) is w_(k-1-t) plus the tops before
     it, one running sum.  The last level costs k - a products, plus
-    c_0^2 at odd j, where a last squaring would cost k(k+1)/2 squarings.
+    c_0^2 at odd j, where a last squaring would cost k(k+1)/2 squarings
+    (2k - 1 past sequences.TOOM_BITS); they go through sequences._mul,
+    which splits factors past sequences.TOOM3_BITS in three.
     At k = 2 that is one product at either parity: F(m)(2F(m-1) + F(m))
     for even j, and for odd j, where the form is F(m-1)^2 + F(m)^2,
     Cassini's identity F(m-1)F(m+1) - F(m)^2 = (-1)^m turns the two
@@ -175,14 +178,16 @@ def fast_term(k: int, j: int) -> int:
     if e:
         c = _times_x(c)
         if k == 2:
-            return c[1] * (2 * c[1] - c[0]) + (-1 if (j + 1) & 2 else 1)  # (-1)^m, m = (j + 1) / 2
+            return _mul(c[1], 2 * c[1] - c[0]) + (-1 if (j + 1) & 2 else 1)  # (-1)^m, m = (j + 1) / 2
     a = (k + e) // 2
-    total = c[0] * c[0] if e else 0
+    # from m = k - 1 on, no coefficient of x^m mod P_k exceeds the top one
+    product = mul if c[-1].bit_length() < TOOM3_BITS else _mul
+    total = product(c[0], c[0]) if e else 0
     before = 0
     for l, coefficient in enumerate(reversed([2 * x for x in c[e:a]] + c[a:]), e):
         top = coefficient + before
         before += top
         if l >= a:
-            # CPython squares faster than it multiplies two ints
-            total += c[l] * c[l] if top == c[l] else c[l] * top
+            # passing c[l] twice keeps a square a square, which costs less
+            total += product(c[l], c[l] if top == c[l] else top)
     return total

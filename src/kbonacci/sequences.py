@@ -16,6 +16,12 @@ x^(k-1) - ... - 1 is the recurrence's characteristic polynomial (C. M.
 Fiduccia, "An efficient formula for linear recurrences", SIAM J. Comput.
 14(1), 1985).  Memory therefore stays bounded whatever the index, and
 runs of nearby reads cost a step each.
+
+A squaring of x^e mod P_k costs k(k+1)/2 big-integer squarings while its
+coefficients are small and 2k - 1 once they pass TOOM_BITS, by
+evaluation and exact interpolation (Toom 1963, Cook 1966); at k = 2 it
+costs two, by Cassini's identity.  Squares and products of TOOM3_BITS
+bits and more split each factor in three (Toom-3).
 """
 
 from __future__ import annotations
@@ -43,6 +49,28 @@ FRAME_TERMS = 8
 ORDER_CACHE_SIZE = 64
 
 
+# _square_mod squares by evaluation and interpolation (_toom_square) once
+# (k - 1)(k - 2) times the bits of c's top coefficient pass TOOM_BITS * k^2:
+# the (k - 1)(k - 2)/2 squarings it saves against the O(k^2) additions and
+# small exact divisions it adds.  On random coefficients (best of 15,
+# CPython 3.11, x86-64) the two break even at about 13,500 bits at k = 3
+# (this rule: 13,500), 6,600 at k = 4 (8,000), 5,000 at k = 5 (6,250),
+# 3,100 at k = 8 (4,570), 2,400 at k = 16 (3,660) and 2,000-2,700 from
+# k = 32 to 512 (3,000-3,100), so the rule never takes the slower path.
+TOOM_BITS = 3000
+
+# Largest order _square_mod squares by evaluation.  The nodes +-(k - 1) and
+# the factorial divisors grow with k, and so does the break-even: at k = 700
+# evaluation wins from 3,000 bits, at k = 1000 only from about 4,000.
+TOOM_ORDER_CAP = 700
+
+# _mul splits factors of this many bits and more in three.  Against
+# CPython's own product (best of 5, CPython 3.11, x86-64) it is even from
+# 8,000 to 24,000 bits, 10-15% faster from 32,000 to 100,000 and 15-25%
+# from 200,000 to 700,000.
+TOOM3_BITS = 30_000
+
+
 def _step_limit(k: int, j: int) -> int:
     """Most double-shift steps worth taking toward index j rather than
     computing x^j mod P_k afresh.
@@ -56,7 +84,11 @@ def _step_limit(k: int, j: int) -> int:
     squarings per bit (_cassini_square), not three, so the count
     overstates its cost by 3/2.  It is kept: measured at k = 2, the
     break-even still lies 0.9x (|j| = 5000) to 6.5x (|j| = 10^6) this
-    count.
+    count.  Past TOOM_BITS the engine takes 2k - 1 squarings per bit, not
+    k(k+1)/2; the count is kept there too, as at k = 3..8 the break-even
+    still lies 1.3x-1.9x (|j| = 5000, below the crossover) to 7x-13x
+    (|j| = 10^6, past it) this count, where it lay 1.5x-2.3x to 19x-26x
+    with k(k+1)/2 squarings throughout.
     """
     return k * (k + 1) // 2 * abs(j).bit_length()
 
@@ -68,20 +100,25 @@ def _validate_order(k) -> None:
 def _square_mod(c: list[int]) -> list[int]:
     """c(x)^2 mod P_k for a coefficient vector c of length k.
 
-    Squaring a big int costs about two thirds of a product of two
-    different ones, so each cross term 2 c_i c_l is taken as
-    (c_i + c_l)^2 - c_i^2 - c_l^2 from the k squares: k(k+1)/2 squarings
-    and no general product.
+    Once c's top coefficient passes TOOM_BITS k^2 / ((k-1)(k-2)) bits, at
+    orders up to TOOM_ORDER_CAP, c^2 comes from _toom_square: 2k - 1
+    big-integer squarings.  Otherwise, squaring a big int costs about two
+    thirds of a product of two different ones, so each cross term
+    2 c_i c_l is taken as (c_i + c_l)^2 - c_i^2 - c_l^2 from the k
+    squares: k(k+1)/2 squarings and no general product.
     """
     k = len(c)
-    squares = [a * a for a in c]
-    p = [0] * (2 * k - 1)
-    p[::2] = squares
-    nonzero = [i for i, a in enumerate(c) if a]
-    for n, i in enumerate(nonzero):
-        for m in nonzero[n + 1 :]:
-            t = c[i] + c[m]
-            p[i + m] += t * t - squares[i] - squares[m]
+    if k <= TOOM_ORDER_CAP and (k - 1) * (k - 2) * c[-1].bit_length() > TOOM_BITS * k * k:
+        p = _toom_square(c)
+    else:
+        squares = [a * a for a in c]
+        p = [0] * (2 * k - 1)
+        p[::2] = squares
+        nonzero = [i for i, a in enumerate(c) if a]
+        for n, i in enumerate(nonzero):
+            for m in nonzero[n + 1 :]:
+                t = c[i] + c[m]
+                p[i + m] += t * t - squares[i] - squares[m]
     # Reduce from the top with x^d = x^(d-1) + ... + x^(d-k): coefficient d
     # gains the sum of the reduced coefficients d+1..d+k of degree >= k,
     # kept as a running sum.
@@ -96,6 +133,98 @@ def _square_mod(c: list[int]) -> list[int]:
     return p[:k]
 
 
+def _toom_square(c: list[int]) -> list[int]:
+    """The 2k - 1 coefficients of c(x)^2, from c squared at 0 and at
+    +-1..+-(k-1) (Toom 1963, Cook 1966): 2k - 1 big-integer squarings.
+
+    With e and o the even- and odd-degree parts of c at t, a = (e + o)^2
+    and b = (e - o)^2 are c^2 at t and -t, so a + b and a - b are twice
+    its even part g(t) = E(t^2) and odd part h(t) = t O(t^2), where
+    c(x)^2 = E(x^2) + x O(x^2).  _interpolate recovers E and O.
+    """
+    k = len(c)
+    evens, odds = c[::2][::-1], c[1::2][::-1]
+    even, odd = [_mul(c[0], c[0]) << 1], [0]
+    for t in range(1, k):
+        y = t * t
+        e = o = 0
+        for a in evens:
+            e = e * y + a
+        for a in odds:
+            o = o * y + a
+        o *= t
+        a, b = e + o, e - o
+        a, b = _mul(a, a), _mul(b, b)
+        even.append(a + b)
+        odd.append(a - b)
+    p = [0] * (2 * k - 1)
+    p[::2], p[1::2] = _interpolate(even, 0), _interpolate(odd, 1)
+    return p
+
+
+def _interpolate(v: list[int], first: int) -> list[int]:
+    """Coefficients, lowest first, of F(y) from v[t] = 2 t^first F(t^2),
+    t = 0..len(v)-1: of E from 2g and (first = 1) of O from 2h.
+
+    The Newton form of F at the nodes y = first^2, (first + 1)^2, ...
+    needs no divided-difference table: for even g, the central
+    difference d^(2m) g(0), g(t+1) - 2 g(t) + g(t-1) taken m times, is
+    (2m)! times E's m-th Newton coefficient, and for odd h, d^(2m) h(1)
+    is (2m+1)! times O's.  Those coefficients are divided differences of
+    an integer polynomial at integer nodes, so integers, and each
+    division is exact: 2k - 1 small divisions in all, one per
+    coefficient of c^2.  The Newton form is then expanded by one factor
+    y - y_m at a time.
+    """
+    q, divisor = [], 2
+    for m in range(len(v) - first):
+        if m:
+            # v(-1) is v(1) for even g, -v(1) for odd h
+            d = [b - a for a, b in zip(v, v[1:])]
+            v = [0 if first else 2 * d[0], *(b - a for a, b in zip(d, d[1:]))]
+            divisor *= (2 * m + first - 1) * (2 * m + first)
+        q.append(v[first] // divisor)
+    f = q[-1:]
+    for m in range(len(q) - 2, -1, -1):
+        y = (m + first) ** 2
+        f = [a - y * b for a, b in zip([q[m], *f], [*f, 0])]
+    return f
+
+
+def _mul(a: int, b: int) -> int:
+    """a * b, a square when b is a.
+
+    Past TOOM3_BITS each factor splits as u_0 + u_1 X + u_2 X^2, X = 2^s,
+    and the product comes from its values at X = 0, 1, -1, -2 and
+    infinity (Toom-3, interpolated as Bodrato's sequence): five products
+    of a third the size, each by _mul again, where CPython's Karatsuba
+    spends about 5.7 times the work of one of them.
+    """
+    if a.bit_length() < TOOM3_BITS or b.bit_length() < TOOM3_BITS:
+        return a * b
+    s = (max(a.bit_length(), b.bit_length()) + 2) // 3
+    u = _points(a, s)
+    w0, w1, wm1, wm2, winf = map(_mul, u, u if b is a else _points(b, s))
+    r3 = (wm2 - w1) // 3
+    r1 = (w1 - wm1) >> 1
+    r2 = wm1 - w0
+    r3 = ((r2 - r3) >> 1) + (winf << 1)
+    r2 += r1 - winf
+    r1 -= r3
+    return w0 + (r1 << s) + (r2 << 2 * s) + (r3 << 3 * s) + (winf << 4 * s)
+
+
+def _points(a: int, s: int) -> tuple[int, ...]:
+    """a = a_0 + a_1 X + a_2 X^2, X = 2^s, at X = 0, 1, -1, -2 and infinity.
+    The split holds for negative a too: a_0 and a_1 are its residues,
+    a_2 the floor of a / X^2."""
+    mask = (1 << s) - 1
+    a0, a1, a2 = a & mask, (a >> s) & mask, a >> 2 * s
+    t = a0 + a2
+    m1 = t - a1
+    return a0, t + a1, m1, ((m1 + a2) << 1) - a0, a2
+
+
 def _cassini_square(c: list[int], odd: bool) -> list[int]:
     """x^(2e) mod P_2 from c = x^e mod P_2 = (F(e-1), F(e)), odd telling
     whether e is.
@@ -105,7 +234,12 @@ def _cassini_square(c: list[int], odd: bool) -> list[int]:
     doubling costs two squarings where _square_mod takes three.  It holds
     for powers of x only, not for an arbitrary vector.
     """
-    a, b = c[0] * c[0], c[1] * c[1]
+    a, b = c
+    if b.bit_length() < TOOM3_BITS:
+        a *= a
+        b *= b
+    else:
+        a, b = _mul(a, a), _mul(b, b)
     return [a + b, 3 * b - 2 * a + (-2 if odd else 2)]
 
 
@@ -128,11 +262,12 @@ def x_power_mod(k: int, j: int) -> list[int]:
     recurrence has s(j) = c_0 s(0) + ... + c_(k-1) s(k-1); for the
     k-bonacci seeds that is c_(k-1).  x is invertible mod P_k because
     P_k(0) = -1, so negative j powers 1/x.  Left-to-right binary powering:
-    one polynomial squaring per bit of |j| and, per set bit, a step by x
-    or 1/x that costs k additions.  At k = 2 the squaring is
-    _cassini_square, two big-integer squarings instead of three; it needs
-    only the parity of the exponent so far, which a squaring makes even
-    and a step by x or 1/x makes odd.
+    one polynomial squaring per bit of |j| (_square_mod: k(k+1)/2
+    big-integer squarings, 2k - 1 once the coefficients pass TOOM_BITS)
+    and, per set bit, a step by x or 1/x that costs k additions.  At
+    k = 2 the squaring is _cassini_square, two big-integer squarings
+    instead of three; it needs only the parity of the exponent so far,
+    which a squaring makes even and a step by x or 1/x makes odd.
     """
     _validate_order(k)
     _require_int("index", j, None)

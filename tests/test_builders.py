@@ -219,6 +219,20 @@ def test_fast_term_matches_the_plain_recurrence_at_band_edges():
             assert fast_term(k, j) == iterative_term(k, j), (k, j)
 
 
+def test_fast_term_past_the_evaluation_crossover(monkeypatch):
+    # x_power_mod's last squarings take coefficients past the size where
+    # _square_mod squares by evaluation: 17,600 bits at k = 3, 9,500 at
+    # k = 4 and more beyond
+    evaluated = []
+    square = sequences._toom_square
+    monkeypatch.setattr(sequences, "_toom_square", lambda c: evaluated.append(len(c)) or square(c))
+    for k in range(3, 9):
+        for j in (80_000, 80_001) if k == 3 else (40_000, 40_001):
+            evaluated.clear()
+            assert fast_term(k, j) == iterative_term(k, j), (k, j)
+            assert evaluated, (k, j)
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(2, 16), j=st.integers(0, 3000))
 def test_fast_term_matches_the_plain_recurrence(k, j):

@@ -832,6 +832,36 @@ def digit_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
 
+def test_failed_comparison_past_digit_limit_reports_sizes_and_residues(tmp_path):
+    # conftest.py's pytest_assertrepr_compare, in a pytest run of its own
+    if not digit_limit():
+        pytest.skip("no int-to-text digit limit")
+    big, m = 3**20_000, 2**61 - 1
+    (tmp_path / "conftest.py").write_text(open(os.path.join(os.path.dirname(__file__), "conftest.py")).read())
+    (tmp_path / "test_long.py").write_text(
+        "BIG = 3**20_000\n"
+        "def test_ints():\n    assert BIG == BIG + 4\n"
+        "def test_lists():\n    assert [1, BIG, BIG] == [1, BIG, BIG - 1]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_long.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "raised in repr()" not in proc.stdout
+    assert "int == int, with ints too long for str():" in proc.stdout
+    assert f"left: 31700 bits, {big % m} mod 2^61 - 1" in proc.stdout
+    assert f"right: 31700 bits, {(big + 4) % m} mod 2^61 - 1" in proc.stdout
+    assert "|left - right|: 3 bits" in proc.stdout
+    assert "list == list, with ints too long for str():" in proc.stdout
+    assert "lengths 3 and 3, first difference at index 2" in proc.stdout
+    assert f"right: 31700 bits, {(big - 1) % m} mod 2^61 - 1" in proc.stdout
+    assert "|left - right|: 1 bits" in proc.stdout
+
+
 @pytest.mark.parametrize("method", ["iter", "qpow"])
 def test_term_beyond_digit_limit(capsys, big_fibonacci, method):
     want = big_fibonacci[1]

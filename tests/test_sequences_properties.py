@@ -5,8 +5,12 @@ Random indices with WINDOW_CAP < |j| <= 10^5 on both sides of zero, at
 orders 2..8: the forward recurrence, the backward recurrence and the
 double-shift law must hold whichever path served each term.  Random
 coefficient vectors: _square_mod must agree with a plain convolution
-reduced by P_k.  At order 2, x_power_mod's doubling by Cassini's identity
-must agree with powering by _square_mod and with the window's terms.
+reduced by P_k on both sides of the size where it turns to evaluation
+and interpolation, and _toom_square with the plain convolution itself.
+Random factors: _mul must agree with the builtin product on both sides
+of the size where it splits them.  At order 2, x_power_mod's doubling by
+Cassini's identity must agree with powering by _square_mod and with the
+window's terms.
 Random walks of reads on one sequence object must match the dict-based
 oracle of test_sequences and leave every frame in bounds.
 """
@@ -19,13 +23,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sequences import oracle_values
 
+from kbonacci import sequences
 from kbonacci.sequences import (
     FRAME_TERMS,
+    TOOM3_BITS,
+    TOOM_BITS,
+    TOOM_ORDER_CAP,
     WINDOW_CAP,
     KbonacciSequence,
+    _mul,
     _over_x,
     _square_mod,
     _times_x,
+    _toom_square,
     term,
     x_power_mod,
 )
@@ -56,14 +66,20 @@ def test_double_shift_law_beyond_the_cap(k, size, sign):
     assert term(k, j + 1) == 2 * term(k, j) - term(k, j - k)
 
 
+def convolution(c: list[int]) -> list[int]:
+    """The 2k - 1 coefficients of c(x)^2 by schoolbook convolution."""
+    p = [0] * (2 * len(c) - 1)
+    for i, a in enumerate(c):
+        for m, b in enumerate(c):
+            p[i + m] += a * b
+    return p
+
+
 def square_then_reduce(c: list[int]) -> list[int]:
     """c(x)^2 by schoolbook convolution, then x^d = x^(d-1) + ... + x^(d-k)
     applied from the top degree down."""
     k = len(c)
-    p = [0] * (2 * k - 1)
-    for i, a in enumerate(c):
-        for m, b in enumerate(c):
-            p[i + m] += a * b
+    p = convolution(c)
     for d in range(2 * k - 2, k - 1, -1):
         for n in range(1, k + 1):
             p[d - n] += p[d]
@@ -72,13 +88,56 @@ def square_then_reduce(c: list[int]) -> list[int]:
 
 
 # signed coefficients up to a few thousand bits, zero often
-COEFFICIENT = st.one_of(st.just(0), st.integers(-(2**3000), 2**3000), st.integers(-9, 9))
+SMALL = st.one_of(st.just(0), st.integers(-(2**3000), 2**3000), st.integers(-9, 9))
+# and up to 16,000 bits, past the size where _square_mod squares by
+# evaluation at every order from 3 (TOOM_BITS k^2 / ((k-1)(k-2)) bits,
+# 13,500 at k = 3 and 4,571 at k = 8) as well as below it
+COEFFICIENT = SMALL | st.integers(0, 16_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
 
 
 @settings(max_examples=200, deadline=None)
 @given(c=st.integers(2, 8).flatmap(lambda k: st.lists(COEFFICIENT, min_size=k, max_size=k)))
+@example(c=[0, -(2**9_000), 2**14_000 - 1])
+@example(c=[0, 3, -(2**5_000), 0, 7, 2**6_000 + 1, 0, -(2**4_600)])
 def test_square_mod_matches_convolution_and_reduction(c):
     assert _square_mod(c) == square_then_reduce(c)
+
+
+def test_square_mod_takes_evaluation_past_the_crossover(monkeypatch):
+    # the rule reads the top coefficient: just past TOOM_BITS k^2 / ((k-1)(k-2)) bits
+    calls = []
+    monkeypatch.setattr(sequences, "_toom_square", lambda c: calls.append(len(c)) or convolution(c))
+    for k in (3, 4, 8):
+        bits = TOOM_BITS * k * k // ((k - 1) * (k - 2))
+        for top, evaluated in ((1 << (bits - 1), False), (1 << (bits + 1), True)):
+            calls.clear()
+            _square_mod([0] * (k - 1) + [top])
+            assert calls == ([k] if evaluated else []), (k, top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.integers(3, 40).flatmap(lambda k: st.lists(SMALL, min_size=k, max_size=k)))
+@example(c=[-1, 0, 2**3000])
+@example(c=[((-1) ** i * 7 ** (i % 40) if i % 3 else 0) for i in range(TOOM_ORDER_CAP)])
+def test_evaluation_square_matches_convolution(c):
+    # called directly, so small coefficients and orders up to the cap reach it
+    assert _toom_square(c) == convolution(c)
+
+
+# signed factors of a few bits or from just below TOOM3_BITS to ten times
+# it, where _mul splits the parts of a split again
+FACTOR = (st.integers(0, 64) | st.integers(TOOM3_BITS - 64, 10 * TOOM3_BITS)).flatmap(
+    lambda bits: st.integers(-(2**bits), 2**bits)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=FACTOR, b=FACTOR)
+@example(a=2**TOOM3_BITS - 1, b=-(3 ** (2 * TOOM3_BITS)))
+@example(a=-(3 ** (3 * TOOM3_BITS)), b=7 ** (2 * TOOM3_BITS) + 1)
+def test_mul_matches_the_builtin_product(a, b):
+    assert _mul(a, b) == a * b
+    assert _mul(a, a) == a * a
 
 
 def generic_power(k: int, j: int) -> list[int]:
